@@ -23,13 +23,21 @@ go build ./...
 echo "== go test"
 go test -timeout 10m ./...
 
+echo "== go test (bench self-check)"
+# bench/ is a module of its own, so ./... above does not descend into it:
+# its 1/50-scale self-check drives every workload through the public
+# entry points and keeps BENCHMARK.json and the metric tables in step.
+go test -C bench -timeout 5m .
+
 echo "== go test -race (short)"
 go test -race -short -timeout 10m ./...
 
 echo "== go test -race (store engines, full)"
 # Full (non-short) race pass over the store API and every engine: the
 # snapshot/iterator paths are exercised under concurrent writers in the
-# differential suite, and those schedules only run outside -short.
+# differential suite, and those schedules only run outside -short. The
+# LSM's point-read differential (memtable filters, hash-once probing,
+# WAL-replay rebuild) runs here too: its readers share the filters.
 go test -race -timeout 10m ./internal/kv/ ./internal/stores/ \
     ./internal/lsm/ ./internal/btree/ ./internal/memstore/ \
     ./internal/faster/ ./internal/lethe/ ./internal/remote/ \
@@ -141,6 +149,13 @@ go test -run '^$' -bench 'BenchmarkResilientOverhead|BenchmarkObsOverhead|Benchm
 # signal; their numbers are recorded in the baseline for reference only.
 go test -run '^$' -bench '(BenchmarkSnapshotOverhead|BenchmarkScanRange|BenchmarkCheckpoint)/(rocksdb|berkeleydb)' -benchtime 0.5s -timeout 10m . | tee -a "$bench_out"
 go test -run '^$' -bench 'BenchmarkStripedHistogramRecordParallel|BenchmarkHistogramRecordParallel' -benchtime 0.5s -timeout 5m ./internal/stats/ | tee -a "$bench_out"
+# LSM point path: a read that misses every layer, a memtable hit, a
+# table hit, and the raw Bloom probe. A fixed iteration count keeps the
+# share of cold-cache probes the same on every box; -count 3 because a
+# memtable hit is a chain of cache misses and swings ~10% run to run
+# (the awk below averages duplicates).
+go test -run '^$' -bench 'BenchmarkGetMiss|BenchmarkGetMemHit|BenchmarkGetSSTHit' -benchtime 200000x -benchmem -count 3 -timeout 5m ./internal/lsm/ | tee -a "$bench_out"
+go test -run '^$' -bench 'BenchmarkMayContain' -benchtime 0.5s -benchmem -timeout 5m ./internal/bloom/ | tee -a "$bench_out"
 # Sharded-remote scaling and the pipeline-depth sweep: TCP round trips
 # are the noisiest numbers in the suite, so each point is averaged over
 # -count 3 (the awk below averages duplicates) before the comparison.

@@ -1,6 +1,13 @@
-// Package bloom implements the blocked Bloom filter used by SSTables to
-// skip files that cannot contain a key. It uses double hashing over a
-// 64-bit FNV-1a base hash, the classic Kirsch-Mitzenmacher construction.
+// Package bloom implements the Bloom filter SSTables use to skip files
+// that cannot contain a key. It is a plain (unblocked) filter: one bit
+// array for the whole table, k probe positions per key derived by double
+// hashing (Kirsch-Mitzenmacher) from a 64-bit FNV-1a base hash, each
+// reduced with a 64-bit modulo by the array size. The base hash is part
+// of the on-disk format: a persisted filter is only valid for the hash
+// that built it.
+//
+// Hash and MayContainHash split a probe in two so a caller consulting
+// many filters for one key (an LSM point read) hashes the key once.
 package bloom
 
 import "encoding/binary"
@@ -21,7 +28,7 @@ type Builder struct {
 func NewBuilder() *Builder { return &Builder{} }
 
 // Add registers a key with the builder.
-func (b *Builder) Add(key []byte) { b.hashes = append(b.hashes, hash64(key)) }
+func (b *Builder) Add(key []byte) { b.hashes = append(b.hashes, Hash(key)) }
 
 // Len returns the number of keys added so far.
 func (b *Builder) Len() int { return len(b.hashes) }
@@ -60,12 +67,14 @@ func (b *Builder) Build(bitsPerKey int) *Filter {
 
 // MayContain reports whether key may be in the set. False means the key
 // is definitely absent.
-func (f *Filter) MayContain(key []byte) bool {
+func (f *Filter) MayContain(key []byte) bool { return f.MayContainHash(Hash(key)) }
+
+// MayContainHash is MayContain for a key already hashed with Hash.
+func (f *Filter) MayContainHash(h uint64) bool {
 	if len(f.bits) == 0 {
 		return true
 	}
 	nBits := uint64(len(f.bits)) * 8
-	h := hash64(key)
 	delta := h>>33 | h<<31
 	for i := uint32(0); i < f.k; i++ {
 		pos := h % nBits
@@ -94,7 +103,9 @@ func FromBytes(b []byte) *Filter {
 	return &Filter{k: binary.LittleEndian.Uint32(b[:4]), bits: b[4:]}
 }
 
-func hash64(key []byte) uint64 {
+// Hash returns the filter's base hash of key (64-bit FNV-1a), the value
+// MayContainHash takes. Every filter, built or reloaded, uses this hash.
+func Hash(key []byte) uint64 {
 	const (
 		offset = 0xCBF29CE484222325
 		prime  = 0x100000001B3

@@ -2,6 +2,7 @@ package bloom
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -55,6 +56,47 @@ func TestSerializationRoundTrip(t *testing.T) {
 	}
 	if f2.k != f.k {
 		t.Fatalf("k mismatch: %d vs %d", f2.k, f.k)
+	}
+}
+
+// TestMayContainHashAgrees: probing with a precomputed Hash answers
+// exactly as MayContain does, for members and non-members alike, on a
+// built filter and on one reloaded from its serialized form.
+func TestMayContainHashAgrees(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	randKey := func() []byte {
+		k := make([]byte, 1+rng.Intn(40))
+		rng.Read(k)
+		return k
+	}
+	b := NewBuilder()
+	var members [][]byte
+	for i := 0; i < 2000; i++ {
+		k := randKey()
+		members = append(members, k)
+		b.Add(k)
+	}
+	built := b.Build(10)
+	for _, f := range []*Filter{built, FromBytes(built.Bytes()), FromBytes(nil)} {
+		for _, k := range members {
+			if !f.MayContainHash(Hash(k)) {
+				t.Fatalf("false negative by hash for %x", k)
+			}
+		}
+		admitted := 0
+		for i := 0; i < 20000; i++ {
+			k := randKey()
+			byHash := f.MayContainHash(Hash(k))
+			if byHash != f.MayContain(k) {
+				t.Fatalf("MayContainHash(Hash(%x)) = %v, MayContain disagrees", k, byHash)
+			}
+			if byHash {
+				admitted++
+			}
+		}
+		if len(f.bits) > 0 && admitted > 20000*3/100 {
+			t.Fatalf("%d of 20000 random keys admitted", admitted)
+		}
 	}
 }
 

@@ -87,7 +87,7 @@ func (db *DB) CheckpointTo(dir string) error {
 		tombAt := m.earliestTombstone
 		it := m.sl.Iter()
 		for it.First(); it.Valid(); it.Next() {
-			_, eseq, _, err := parseIKey(it.Key())
+			eseq, _, err := ikeyTrailer(it.Key())
 			if err != nil {
 				db.mu.RUnlock()
 				return err

@@ -386,7 +386,7 @@ func newMergeIter(inputs []*fileMeta) *mergeIter {
 			continue
 		}
 		if it.Valid() {
-			m.h = append(m.h, &mergeItem{it: it})
+			m.h = append(m.h, &mergeItem{it: &it})
 		}
 	}
 	heap.Init(&m.h)

@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 )
@@ -21,7 +22,7 @@ const (
 // 0x00 0x01) so that no encoded key is a prefix of another and byte order
 // of encodings equals byte order of the raw keys even for variable-length
 // keys. The complemented sequence makes newer entries sort first within a
-// user key, so a SeekGE(lookupKey(k)) lands on the newest entry for k.
+// user key, so a SeekGE of k's lookup key lands on the newest entry for k.
 
 // appendEscaped appends the order-preserving escape encoding of k to dst.
 func appendEscaped(dst, k []byte) []byte {
@@ -65,26 +66,50 @@ func decodeEscaped(b []byte) (key []byte, n int, err error) {
 
 const trailerLen = 9
 
-// makeIKey builds the internal key for (userKey, seq, kind).
-func makeIKey(userKey []byte, seq uint64, kind byte) []byte {
-	out := make([]byte, 0, len(userKey)+2+trailerLen+4)
-	out = appendEscaped(out, userKey)
+// escapedLen is len(appendEscaped(nil, k)).
+func escapedLen(k []byte) int { return len(k) + bytes.Count(k, []byte{0x00}) + 2 }
+
+// appendIKey appends the internal key for (userKey, seq, kind) to dst.
+func appendIKey(dst, userKey []byte, seq uint64, kind byte) []byte {
+	dst = appendEscaped(dst, userKey)
 	var t [trailerLen]byte
 	binary.BigEndian.PutUint64(t[:8], ^seq)
 	t[8] = kind
-	return append(out, t[:]...)
+	return append(dst, t[:]...)
 }
 
-// lookupKey builds the smallest internal key for userKey, i.e. the
-// position of its newest possible entry.
-func lookupKey(userKey []byte) []byte {
-	return makeIKey(userKey, ^uint64(0), 0)
+// appendLookupKey appends the smallest internal key for userKey to dst,
+// i.e. the position of its newest possible entry. A point read builds it
+// once into a stack buffer and hands the one slice to every layer it
+// probes; its escaped-user-key prefix is what the filters hash.
+func appendLookupKey(dst, userKey []byte) []byte {
+	return appendIKey(dst, userKey, ^uint64(0), 0)
 }
 
-// parseIKey splits an internal key into its components.
-func parseIKey(ikey []byte) (userKey []byte, seq uint64, kind byte, err error) {
+// errShortIKey reports an internal key too short to hold an escaped
+// user key (at least its two-byte terminator) and a trailer.
+type errShortIKey int
+
+func (e errShortIKey) Error() string {
+	return fmt.Sprintf("lsm: internal key too short (%d bytes)", int(e))
+}
+
+// ikeyTrailer reads the sequence and kind from an internal key's trailer
+// without unescaping (or allocating) the user key.
+func ikeyTrailer(ikey []byte) (seq uint64, kind byte, err error) {
 	if len(ikey) < trailerLen+2 {
-		return nil, 0, 0, fmt.Errorf("lsm: internal key too short (%d bytes)", len(ikey))
+		return 0, 0, errShortIKey(len(ikey))
+	}
+	t := ikey[len(ikey)-trailerLen:]
+	return ^binary.BigEndian.Uint64(t[:8]), t[8], nil
+}
+
+// parseIKey splits an internal key into its components, validating the
+// escape encoding of the user key.
+func parseIKey(ikey []byte) (userKey []byte, seq uint64, kind byte, err error) {
+	seq, kind, err = ikeyTrailer(ikey)
+	if err != nil {
+		return nil, 0, 0, err
 	}
 	userKey, n, err := decodeEscaped(ikey[:len(ikey)-trailerLen])
 	if err != nil {
@@ -93,8 +118,7 @@ func parseIKey(ikey []byte) (userKey []byte, seq uint64, kind byte, err error) {
 	if n != len(ikey)-trailerLen {
 		return nil, 0, 0, fmt.Errorf("lsm: trailing bytes in internal key")
 	}
-	t := ikey[len(ikey)-trailerLen:]
-	return userKey, ^binary.BigEndian.Uint64(t[:8]), t[8], nil
+	return userKey, seq, kind, nil
 }
 
 // ikeyUserPrefix returns the escaped-user-key prefix of an internal key

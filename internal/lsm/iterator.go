@@ -70,7 +70,7 @@ func newRangeIter(mems []*memtable, files []*fileMeta, lo, hi []byte, maxSeq uin
 	}
 	var seek []byte
 	if lo != nil {
-		seek = lookupKey(lo)
+		seek = appendLookupKey(nil, lo)
 	}
 	add := func(s internalIter) {
 		if s.Valid() {
@@ -84,7 +84,7 @@ func newRangeIter(mems []*memtable, files []*fileMeta, lo, hi []byte, maxSeq uin
 		} else {
 			si.First()
 		}
-		add(si)
+		add(&si)
 	}
 	for _, fm := range files {
 		ti := fm.reader.Iter()
@@ -93,7 +93,7 @@ func newRangeIter(mems []*memtable, files []*fileMeta, lo, hi []byte, maxSeq uin
 		} else {
 			ti.First()
 		}
-		add(ti)
+		add(&ti)
 	}
 	heap.Init(&it.h)
 	return it

@@ -12,6 +12,7 @@
 package lsm
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -22,6 +23,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"gadget/internal/bloom"
 	"gadget/internal/cache"
 	"gadget/internal/kv"
 	"gadget/internal/tracing"
@@ -105,6 +107,9 @@ type Stats struct {
 	// Bloom filter effectiveness across all tables: probes, filter
 	// rejections, and false positives (admitted but absent).
 	BloomChecks, BloomNegatives, BloomFalsePositives uint64
+	// Memtable filter effectiveness: memtables a Get consulted, and how
+	// many of them the filter ruled out (skiplist seeks skipped).
+	MemFilterChecks, MemFilterNegatives uint64
 }
 
 const numLevels = 7
@@ -124,6 +129,9 @@ type DB struct {
 	closed  bool
 	stats   Stats
 	bloom   bloomCounters
+	// Memtable filter outcomes; atomics because Gets bump them under the
+	// read lock.
+	memFilterChecks, memFilterNegatives atomic.Uint64
 
 	// Snapshot accounting (atomics: iterators bump iterOps under the
 	// read lock).
@@ -147,7 +155,7 @@ func Open(opts Options) (*DB, error) {
 	db := &DB{
 		opts:    o,
 		cache:   cache.New(o.BlockCacheSize),
-		mem:     newMemtable(),
+		mem:     newMemtable(o.MemtableSize),
 		version: newVersion(),
 		nextNum: 1,
 	}
@@ -278,7 +286,15 @@ func (db *DB) write(key, value []byte, kind byte, tc *tracing.Ctx) error {
 		db.stats.Deletes++
 	}
 	db.seq++
-	ikey := makeIKey(key, db.seq, kind)
+	// The memtable retains both slices, and callers may reuse theirs: the
+	// internal key and the value copy share one allocation.
+	n := escapedLen(key) + trailerLen
+	buf := append(appendIKey(make([]byte, 0, n+len(value)), key, db.seq, kind), value...)
+	ikey := buf[:n:n]
+	var v []byte // stays nil for an empty value, as a plain copy would
+	if len(value) > 0 {
+		v = buf[n:]
+	}
 	if db.wal != nil {
 		tw := tc.Now()
 		err := db.wal.append(ikey, value)
@@ -287,9 +303,6 @@ func (db *DB) write(key, value []byte, kind byte, tc *tracing.Ctx) error {
 			return err
 		}
 	}
-	// The memtable retains the slices; copy the value since callers may
-	// reuse buffers. ikey is freshly allocated already.
-	v := append([]byte(nil), value...)
 	tm := tc.Now()
 	db.mem.add(ikey, v, kind)
 	tc.AddSince(tracing.StageEngineMem, tm)
@@ -310,7 +323,7 @@ func (db *DB) write(key, value []byte, kind byte, tc *tracing.Ctx) error {
 // immutables beyond the allowed backlog. Called with mu held.
 func (db *DB) rotateMemtableLocked() error {
 	db.imm = append(db.imm, db.mem)
-	db.mem = newMemtable()
+	db.mem = newMemtable(db.opts.MemtableSize)
 	for len(db.imm) > db.opts.MaxImmutables {
 		if err := db.flushOldestLocked(); err != nil {
 			return err
@@ -326,6 +339,11 @@ func (db *DB) Get(key []byte) ([]byte, error) { return db.get(key, nil) }
 // get is Get with optional engine-phase attribution: a non-nil trace
 // context receives memtable-probe time (StageEngineMem) separately from
 // SSTable-read time (StageEngineSST).
+//
+// The escaped lookup key is built once, into a stack buffer for keys of
+// ordinary length, and that one slice serves every layer: the memtable
+// seeks, the per-level file search and the table seeks. Each filter
+// family hashes its user-key prefix once per Get, not once per layer.
 func (db *DB) get(key []byte, tc *tracing.Ctx) ([]byte, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -335,17 +353,19 @@ func (db *DB) get(key []byte, tc *tracing.Ctx) ([]byte, error) {
 	// Gets is bumped under the read lock, so it must be atomic: many
 	// readers may race on it. Every other counter mutates under mu.
 	atomic.AddUint64(&db.stats.Gets, 1)
+	var lkBuf [96]byte
+	lk := appendLookupKey(lkBuf[:0], key)
 	var operands [][]byte
 
 	tm := tc.Now()
-	out, err, done := db.memProbeLocked(key, &operands)
+	out, err, done := db.memProbeLocked(lk, &operands)
 	tc.AddSince(tracing.StageEngineMem, tm)
 	if done {
 		return out, err
 	}
 
 	ts := tc.Now()
-	out, err, done = db.sstProbeLocked(key, &operands)
+	out, err, done = db.sstProbeLocked(lk, &operands)
 	tc.AddSince(tracing.StageEngineSST, ts)
 	if done {
 		return out, err
@@ -358,28 +378,41 @@ func (db *DB) get(key []byte, tc *tracing.Ctx) ([]byte, error) {
 	return nil, kv.ErrNotFound
 }
 
-// memProbeLocked probes the active and immutable memtables. Called with
-// mu read-held.
-func (db *DB) memProbeLocked(key []byte, operands *[][]byte) ([]byte, error, bool) {
-	v, res := db.mem.get(key, operands)
-	if out, err, done := finishLookup(v, res, operands); done {
-		return out, err, true
-	}
-	for i := len(db.imm) - 1; i >= 0; i-- {
-		v, res = db.imm[i].get(key, operands)
-		if out, err, done := finishLookup(v, res, operands); done {
-			return out, err, true
+// memProbeLocked probes the active memtable, then the immutable ones
+// newest first, seeking a skiplist only where its filter admits the key
+// (hashed once for all of them). Called with mu read-held.
+func (db *DB) memProbeLocked(lk []byte, operands *[][]byte) (out []byte, err error, done bool) {
+	h := memHash(ikeyUserPrefix(lk))
+	var checks, negatives uint64
+	for i := len(db.imm); i >= 0 && !done; i-- {
+		m := db.mem // i == len(db.imm): the active memtable, newest of all
+		if i < len(db.imm) {
+			m = db.imm[i]
 		}
+		checks++
+		if !m.filter.mayContain(h) {
+			negatives++
+			continue
+		}
+		v, res := m.get(lk, operands)
+		out, err, done = finishLookup(v, res, operands)
 	}
-	return nil, nil, false
+	db.memFilterChecks.Add(checks)
+	if negatives > 0 {
+		db.memFilterNegatives.Add(negatives)
+	}
+	return out, err, done
 }
 
 // sstProbeLocked probes the table files, L0 newest-first then one file
-// per deeper level. Called with mu read-held.
-func (db *DB) sstProbeLocked(key []byte, operands *[][]byte) ([]byte, error, bool) {
+// per deeper level, with the Bloom hash of the key computed once for
+// all of them. Called with mu read-held.
+func (db *DB) sstProbeLocked(lk []byte, operands *[][]byte) ([]byte, error, bool) {
+	prefix := ikeyUserPrefix(lk)
+	h := bloom.Hash(prefix)
 	// L0: newest file first.
 	for _, fm := range db.version.levels[0] {
-		v, res, err := fm.get(key, operands)
+		v, res, err := fm.get(lk, h, operands)
 		if err != nil {
 			return nil, err, true
 		}
@@ -389,11 +422,11 @@ func (db *DB) sstProbeLocked(key []byte, operands *[][]byte) ([]byte, error, boo
 	}
 	// Deeper levels: at most one file per level contains the key.
 	for lvl := 1; lvl < numLevels; lvl++ {
-		fm := db.version.fileForKey(lvl, key)
+		fm := db.version.fileForKey(lvl, prefix)
 		if fm == nil {
 			continue
 		}
-		v, res, err := fm.get(key, operands)
+		v, res, err := fm.get(lk, h, operands)
 		if err != nil {
 			return nil, err, true
 		}
@@ -446,7 +479,7 @@ func (db *DB) Flush() error {
 	}
 	if db.mem.len() > 0 {
 		db.imm = append(db.imm, db.mem)
-		db.mem = newMemtable()
+		db.mem = newMemtable(db.opts.MemtableSize)
 	}
 	for len(db.imm) > 0 {
 		if err := db.flushOldestLocked(); err != nil {
@@ -486,6 +519,8 @@ func (db *DB) StatsSnapshot() Stats {
 		BloomChecks:         db.bloom.checks.Load(),
 		BloomNegatives:      db.bloom.negatives.Load(),
 		BloomFalsePositives: db.bloom.falsePos.Load(),
+		MemFilterChecks:     db.memFilterChecks.Load(),
+		MemFilterNegatives:  db.memFilterNegatives.Load(),
 	}
 }
 
@@ -510,6 +545,8 @@ func (db *DB) Metrics() map[string]int64 {
 		"lsm.bloom_checks":          int64(st.BloomChecks),
 		"lsm.bloom_negatives":       int64(st.BloomNegatives),
 		"lsm.bloom_false_positives": int64(st.BloomFalsePositives),
+		"lsm.memfilter_checks":      int64(st.MemFilterChecks),
+		"lsm.memfilter_negatives":   int64(st.MemFilterNegatives),
 		"lsm.cache_hits":            int64(hits),
 		"lsm.cache_misses":          int64(misses),
 		"lsm.cache_used_bytes":      db.cache.Used(),
@@ -612,19 +649,25 @@ func (v *version) sortLevels() {
 }
 
 // fileForKey returns the single file at lvl (>=1) whose range covers the
-// escaped user key, or nil.
-func (v *version) fileForKey(lvl int, userKey []byte) *fileMeta {
-	prefix := appendEscaped(nil, userKey)
+// user key with escaped encoding prefix, or nil.
+func (v *version) fileForKey(lvl int, prefix []byte) *fileMeta {
 	files := v.levels[lvl]
-	i := sort.Search(len(files), func(i int) bool {
-		return string(files[i].largest) >= string(prefix)
-	})
+	// First file whose largest key is >= prefix.
+	i, j := 0, len(files)
+	for i < j {
+		m := int(uint(i+j) >> 1)
+		if bytes.Compare(files[m].largest, prefix) < 0 {
+			i = m + 1
+		} else {
+			j = m
+		}
+	}
 	if i == len(files) {
 		return nil
 	}
 	fm := files[i]
 	// prefix must be >= smallest's user prefix; compare against smallest.
-	if string(prefix) < string(ikeyUserPrefix(fm.smallest)) {
+	if bytes.Compare(prefix, ikeyUserPrefix(fm.smallest)) < 0 {
 		return nil
 	}
 	return fm

@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -343,6 +344,11 @@ func TestApproximateSize(t *testing.T) {
 	}
 }
 
+// makeIKey builds the internal key for (userKey, seq, kind).
+func makeIKey(userKey []byte, seq uint64, kind byte) []byte {
+	return appendIKey(nil, userKey, seq, kind)
+}
+
 func TestIKeyRoundTrip(t *testing.T) {
 	for _, k := range [][]byte{nil, {}, []byte("abc"), []byte("\x00"), []byte("a\x00b\x00\xff")} {
 		ik := makeIKey(k, 12345, kindMerge)
@@ -427,6 +433,75 @@ func BenchmarkGet(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		db.Get([]byte(fmt.Sprintf("%016d", i%n)))
 	}
+}
+
+// benchPointDB builds the tree the point-read benchmarks probe: 4 MiB
+// write buffers (the bench/ sizing), 16-byte binary keys with embedded
+// zero bytes like a kv.StateKey, even ids written and flushed as three
+// L0 tables small enough to stay in the block cache, then enough fresh
+// ids above them to leave both the active and the frozen memtable
+// populated without a further flush. Odd ids are never written.
+func benchPointDB(b *testing.B) (db *DB, flushed, buffered int) {
+	db = testDB(b, Options{Dir: b.TempDir(), MemtableSize: 4 << 20, BlockCacheSize: 64 << 20})
+	val := bytes.Repeat([]byte("v"), 256)
+	const n = 9000
+	for i := 0; i < n; i++ {
+		db.Put(benchKey(2*i), val)
+		if i%(n/3) == n/3-1 {
+			if err := db.Flush(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	const m = 20000 // ~6.5 MiB of entries: one rotation, no flush
+	for i := n; i < n+m; i++ {
+		db.Put(benchKey(2*i), val)
+	}
+	if counts := db.LevelFileCounts(); counts[0] != 3 || len(db.imm) != 1 {
+		b.Fatalf("tree shape: levels %v, %d frozen memtables", counts, len(db.imm))
+	}
+	return db, n, m
+}
+
+func benchKey(id int) []byte {
+	var k [16]byte
+	binary.BigEndian.PutUint64(k[:8], uint64(id))
+	binary.BigEndian.PutUint64(k[8:], 7)
+	return k[:]
+}
+
+// benchGets times Gets over 4096 keys of the benchPointDB tree, id(i)
+// naming the i-th, each of which must answer with want.
+func benchGets(b *testing.B, id func(i, flushed, buffered int) int, want error) {
+	db, flushed, buffered := benchPointDB(b)
+	keys := make([][]byte, 4096)
+	for i := range keys {
+		keys[i] = benchKey(id(i*7919, flushed, buffered))
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := db.Get(keys[i%len(keys)]); err != want {
+			b.Fatalf("Get = %v, want %v", err, want)
+		}
+	}
+}
+
+// BenchmarkGetMiss reads keys no layer holds: the read that opens every
+// window in a streaming operator.
+func BenchmarkGetMiss(b *testing.B) {
+	benchGets(b, func(i, flushed, buffered int) int { return 2*(i%(flushed+buffered)) + 1 }, kv.ErrNotFound)
+}
+
+// BenchmarkGetMemHit reads keys held by the active or frozen memtable.
+func BenchmarkGetMemHit(b *testing.B) {
+	benchGets(b, func(i, flushed, buffered int) int { return 2 * (flushed + i%buffered) }, nil)
+}
+
+// BenchmarkGetSSTHit reads keys only the tables hold, past two populated
+// memtables that do not have them.
+func BenchmarkGetSSTHit(b *testing.B) {
+	benchGets(b, func(i, flushed, _ int) int { return 2 * (i % flushed) }, nil)
 }
 
 func BenchmarkMerge(b *testing.B) {

@@ -11,7 +11,9 @@ import (
 // are unique (the sequence number is part of the key), so the skiplist's
 // overwrite semantics are never exercised.
 type memtable struct {
-	sl        *skiplist.List
+	sl *skiplist.List
+	// filter admits every user key with an entry in sl (see memFilter).
+	filter    memFilter
 	createdAt time.Time
 	// earliestTombstone is the wall-clock time the first delete was
 	// buffered, used by the Lethe delete-aware compaction picker.
@@ -20,12 +22,17 @@ type memtable struct {
 	merges            int
 }
 
-func newMemtable() *memtable {
-	return &memtable{sl: skiplist.New(), createdAt: time.Now()}
+// newMemtable returns an empty write buffer whose filter is sized for
+// the flush threshold memtableSize.
+func newMemtable(memtableSize int64) *memtable {
+	return &memtable{sl: skiplist.New(), filter: newMemFilter(memtableSize), createdAt: time.Now()}
 }
 
+// add is the only way entries enter a memtable (writes and WAL replay
+// alike), so the filter can never miss a key the skiplist holds.
 func (m *memtable) add(ikey, value []byte, kind byte) {
 	m.sl.Put(ikey, value)
+	m.filter.add(memHash(ikeyUserPrefix(ikey)))
 	switch kind {
 	case kindDelete:
 		if m.deletes == 0 {
@@ -51,12 +58,12 @@ const (
 	lookupContinue                     // merge operands found; keep descending
 )
 
-// get probes the memtable for userKey. Merge operands discovered on the
-// way down (newest first) are appended to *operands. When the newest
-// visible entry chain resolves inside this memtable, it returns
-// lookupFound with the base value or lookupDeleted.
-func (m *memtable) get(userKey []byte, operands *[][]byte) ([]byte, lookupResult) {
-	lk := lookupKey(userKey)
+// get probes the memtable for the user key whose lookup key is lk, the
+// caller having checked the filter. Merge operands discovered on the way
+// down (newest first) are appended to *operands. When the newest visible
+// entry chain resolves inside this memtable, it returns lookupFound with
+// the base value or lookupDeleted.
+func (m *memtable) get(lk []byte, operands *[][]byte) ([]byte, lookupResult) {
 	prefix := ikeyUserPrefix(lk)
 	it := m.sl.Iter()
 	it.SeekGE(lk)

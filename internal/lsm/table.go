@@ -83,18 +83,19 @@ func (fm *fileMeta) unref() error {
 // markObsolete flags the table for deletion once every owner lets go.
 func (fm *fileMeta) markObsolete() { fm.obsolete.Store(true) }
 
-// get probes the table for userKey with the same contract as memtable.get.
-func (fm *fileMeta) get(userKey []byte, operands *[][]byte) ([]byte, lookupResult, error) {
+// get probes the table for the user key whose lookup key is lk, with the
+// same contract as memtable.get. h is bloom.Hash of lk's user-key prefix
+// (what filterUserKey feeds the table's filter), hashed once per Get.
+func (fm *fileMeta) get(lk []byte, h uint64, operands *[][]byte) ([]byte, lookupResult, error) {
 	if fm.bloom != nil {
 		fm.bloom.checks.Add(1)
 	}
-	if !fm.reader.MayContain(lookupKey(userKey)) {
+	if !fm.reader.MayContainHash(h) {
 		if fm.bloom != nil {
 			fm.bloom.negatives.Add(1)
 		}
 		return nil, lookupMissing, nil
 	}
-	lk := lookupKey(userKey)
 	prefix := ikeyUserPrefix(lk)
 	it := fm.reader.Iter()
 	it.SeekGE(lk)
@@ -218,7 +219,7 @@ func (db *DB) newTableBuilder() (*tableBuilder, error) {
 }
 
 func (b *tableBuilder) add(ikey, value []byte, tombAt time.Time) error {
-	_, seq, kind, err := parseIKey(ikey)
+	seq, kind, err := ikeyTrailer(ikey)
 	if err != nil {
 		return err
 	}

@@ -41,15 +41,14 @@ func newWALWriter(fs vfs.FS, path string, syncWrites bool) (*walWriter, error) {
 func (w *walWriter) append(ikey, value []byte) error {
 	payloadLen := 4 + len(ikey) + len(value)
 	var hdr [12]byte
-	crc := crc32.NewIEEE()
-	var lenBuf [4]byte
-	binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(ikey)))
-	crc.Write(lenBuf[:])
-	crc.Write(ikey)
-	crc.Write(value)
-	binary.LittleEndian.PutUint32(hdr[0:], crc.Sum32())
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(payloadLen))
 	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(ikey)))
+	// The payload starts at hdr[8:]. crc32.Update, unlike a hash.Hash32,
+	// allocates nothing.
+	crc := crc32.Update(0, crc32.IEEETable, hdr[8:])
+	crc = crc32.Update(crc, crc32.IEEETable, ikey)
+	crc = crc32.Update(crc, crc32.IEEETable, value)
+	binary.LittleEndian.PutUint32(hdr[0:], crc)
 	if _, err := w.buf.Write(hdr[:]); err != nil {
 		return err
 	}

@@ -111,9 +111,11 @@ type Iterator struct {
 	n    *node
 }
 
-// Iter returns an iterator positioned before the first entry; call Next
-// or SeekGE to position it.
-func (l *List) Iter() *Iterator { return &Iterator{list: l} }
+// Iter returns an iterator positioned before the first entry; call First
+// or SeekGE to position it. It is returned by value so a point probe
+// keeps it on its own stack; a caller that stores the iterator takes its
+// address.
+func (l *List) Iter() Iterator { return Iterator{list: l} }
 
 // SeekGE positions the iterator at the first entry with key >= target.
 func (it *Iterator) SeekGE(target []byte) {

@@ -355,6 +355,10 @@ func (r *Reader) MayContain(key []byte) bool {
 	return r.filter.MayContain(r.FilterKey(key))
 }
 
+// MayContainHash is MayContain for a caller that probes several tables
+// for one key: h is bloom.Hash of the key's filter key, computed once.
+func (r *Reader) MayContainHash(h uint64) bool { return r.filter.MayContainHash(h) }
+
 func (r *Reader) readBlock(i int) ([]byte, error) {
 	e := r.index[i]
 	ck := cache.Key{File: r.id, Off: e.off}
@@ -405,8 +409,10 @@ type Iterator struct {
 	valid    bool
 }
 
-// Iter returns an unpositioned iterator; call First or SeekGE.
-func (r *Reader) Iter() *Iterator { return &Iterator{r: r, blockIdx: -1} }
+// Iter returns an unpositioned iterator; call First or SeekGE. It is
+// returned by value so a point probe keeps it on its own stack; a caller
+// that stores the iterator takes its address.
+func (r *Reader) Iter() Iterator { return Iterator{r: r, blockIdx: -1} }
 
 // First positions at the smallest entry.
 func (it *Iterator) First() {
@@ -423,11 +429,18 @@ func (it *Iterator) SeekGE(target []byte) {
 	it.valid = false
 	it.block = nil
 	// Find the first block whose lastKey >= target.
-	i := sort.Search(len(it.r.index), func(i int) bool {
-		return bytes.Compare(it.r.index[i].lastKey, target) >= 0
-	})
-	if i == len(it.r.index) {
-		it.blockIdx = len(it.r.index)
+	index := it.r.index
+	i, j := 0, len(index)
+	for i < j {
+		m := int(uint(i+j) >> 1)
+		if bytes.Compare(index[m].lastKey, target) < 0 {
+			i = m + 1
+		} else {
+			j = m
+		}
+	}
+	if i == len(index) {
+		it.blockIdx = len(index)
 		return
 	}
 	it.blockIdx = i
