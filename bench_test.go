@@ -21,6 +21,7 @@ import (
 	"gadget/internal/replay"
 	"gadget/internal/shard"
 	"gadget/internal/stores"
+	"gadget/internal/tracing"
 	"gadget/internal/vfs"
 )
 
@@ -292,8 +293,8 @@ func BenchmarkObsOverhead(b *testing.B) {
 // BenchmarkOpenLoopOverhead measures the per-op cost the open-loop
 // driver adds over the closed-loop replay path: the same trace against
 // a memstore, closed loop versus open loop at an effectively unpaced
-// rate (1ns gaps, so the pacer never sleeps and the numbers isolate the
-// queue hop plus intended-latency accounting; see
+// rate (1ns gaps, so the dispatch loop never waits and the numbers
+// isolate admission, the ring and intended-latency accounting; see
 // results/bench-baseline.txt).
 func BenchmarkOpenLoopOverhead(b *testing.B) {
 	for _, open := range []bool{false, true} {
@@ -333,6 +334,42 @@ func BenchmarkOpenLoopOverhead(b *testing.B) {
 			}
 		})
 	}
+}
+
+// nopStore answers every operation at once, leaving a run's time to
+// the driver.
+type nopStore struct{}
+
+func (nopStore) Get([]byte) ([]byte, error) { return nil, nil }
+func (nopStore) Put(_, _ []byte) error      { return nil }
+func (nopStore) Merge(_, _ []byte) error    { return nil }
+func (nopStore) Delete([]byte) error        { return nil }
+func (nopStore) Close() error               { return nil }
+
+// BenchmarkOpenLoopDispatchLag measures how late the open-loop driver
+// hands arrivals to the store when it has to wait for them: 200k ev/s
+// Poisson arrivals against a store that costs nothing, every op traced,
+// dispatch lag read from the sched stage. ns/op is the arrival gap
+// (5000) as long as the driver keeps up.
+func BenchmarkOpenLoopDispatchLag(b *testing.B) {
+	tr := make([]gadget.Access, b.N)
+	for i := range tr {
+		tr[i] = kv.Access{Op: kv.OpPut, Key: kv.StateKey{Group: 1, Sub: uint64(i)}, Size: 8}
+	}
+	tracer := tracing.New(tracing.Options{SampleN: 1})
+	b.ResetTimer()
+	res, err := gadget.ReplayOpenLoop(nopStore{}, tr, gadget.OpenLoopOptions{
+		Arrivals: gadget.PoissonArrivals(200_000, 1), Tracer: tracer,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if res.Ops != uint64(b.N) {
+		b.Fatalf("ops = %d, want %d", res.Ops, b.N)
+	}
+	lag := tracer.StageHist(tracing.StageSched).Snapshot()
+	b.ReportMetric(float64(lag.Quantile(0.50)), "lag-p50-ns")
+	b.ReportMetric(float64(lag.Quantile(0.99)), "lag-p99-ns")
 }
 
 func BenchmarkOnlineRun(b *testing.B) {

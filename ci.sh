@@ -47,7 +47,9 @@ echo "== go test -race (crash recovery, full)"
 # The recovery paths — checkpoint save/restore, the crash-replay loop,
 # and the campaign sweep — run full (non-short) under the race detector:
 # checkpoints are cut from live stores, so snapshot acquisition races
-# against the replay writer by construction.
+# against the replay writer by construction. The open-loop driver's
+# wall-clock tests (on-time dispatch at 100k ev/s, abort with a full
+# ring leaving no goroutine behind) ride in the same pass.
 go test -race -timeout 10m ./internal/replay/ ./internal/campaign/
 
 echo "== open-loop smoke"
@@ -142,7 +144,7 @@ echo "== bench drift guard"
 # regressions (an accidental lock on the hot path), not noise.
 bench_out=$(mktemp)
 trap 'rm -f "$bench_out"' EXIT
-go test -run '^$' -bench 'BenchmarkResilientOverhead|BenchmarkObsOverhead|BenchmarkOpenLoopOverhead|BenchmarkRecoveryOverhead|BenchmarkTracingOverhead' -benchtime 0.5s -timeout 10m . | tee "$bench_out"
+go test -run '^$' -bench 'BenchmarkResilientOverhead|BenchmarkObsOverhead|BenchmarkOpenLoopOverhead|BenchmarkOpenLoopDispatchLag|BenchmarkRecoveryOverhead|BenchmarkTracingOverhead' -benchtime 0.5s -timeout 10m . | tee "$bench_out"
 # Snapshot/scan/checkpoint micro-benchmarks: only the native-snapshot
 # engines are guarded — the fallback engines (memstore, faster) copy the
 # whole store per snapshot, so their run-to-run noise exceeds the 25%

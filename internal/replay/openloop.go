@@ -16,15 +16,15 @@ import (
 // the coordinated-omission trap. The open-loop driver instead assigns
 // each event an intended arrival time from an interarrival Schedule and
 // dispatches on the wall clock regardless of store progress: intended
-// times never slip, a full in-flight queue is counted as overload (the
+// times never slip, a full in-flight ring is counted as overload (the
 // event is delayed, never dropped), and each operation is measured from
 // its intended arrival, so queueing delay behind a slow store is
 // charged to exactly the operations it delayed.
 
-// Clock abstracts wall time for the open-loop pacer so simulated-clock
-// tests can drive schedules without real sleeping. The pacer and the
-// collector share one Clock, keeping intended-arrival latencies on a
-// single timeline with the schedule.
+// Clock abstracts wall time for the open-loop driver so simulated-clock
+// tests can drive schedules without real sleeping. The dispatch loop
+// and the collector share one Clock, keeping intended-arrival latencies
+// on a single timeline with the schedule.
 type Clock interface {
 	Now() time.Time
 	Sleep(d time.Duration)
@@ -33,10 +33,15 @@ type Clock interface {
 // wallClock is the real-time Clock used outside tests.
 type wallClock struct{}
 
-func (wallClock) Now() time.Time        { return time.Now() }
+// wallEpoch anchors wallClock.Now: it carries a monotonic reading, so
+// Now costs one monotonic clock read where time.Now reads the wall
+// clock as well. Only differences between readings are ever used.
+var wallEpoch = time.Now()
+
+func (wallClock) Now() time.Time        { return wallEpoch.Add(time.Since(wallEpoch)) }
 func (wallClock) Sleep(d time.Duration) { time.Sleep(d) }
 
-// DefaultMaxInFlight bounds the open-loop dispatch queue when
+// DefaultMaxInFlight bounds the open-loop in-flight ring when
 // OpenLoopOptions.MaxInFlight is zero.
 const DefaultMaxInFlight = 1024
 
@@ -47,14 +52,14 @@ type OpenLoopOptions struct {
 	Rate float64
 	// Arrivals overrides Rate with an explicit interarrival schedule
 	// (Poisson, bursts, ...). The schedule is consumed single-threaded by
-	// the pacer, so the usual dist seeding rules give deterministic
-	// intended timestamps.
+	// the dispatch loop, so the usual dist seeding rules give
+	// deterministic intended timestamps.
 	Arrivals dist.Schedule
-	// MaxInFlight bounds the dispatch queue between the pacer and the
-	// service worker (0 = DefaultMaxInFlight). An event arriving to a
-	// full queue is counted in Result.Overload and delayed — never
-	// dropped, so the final store state matches a closed-loop replay of
-	// the same trace.
+	// MaxInFlight bounds the ring of admitted arrivals waiting for the
+	// store (0 = DefaultMaxInFlight). An event falling due while the ring
+	// is full is counted in Result.Overload and delayed — never dropped,
+	// so the final store state matches a closed-loop replay of the same
+	// trace.
 	MaxInFlight int
 	// SampleEvery records latency for every Nth operation (0 = every
 	// operation).
@@ -100,35 +105,7 @@ func (o OpenLoopOptions) Validate() error {
 	return nil
 }
 
-// pacer walks an arrival schedule on a Clock. Intended times accumulate
-// from the schedule alone — they never slip to match a slow consumer,
-// which is the property that makes intended-arrival latency immune to
-// coordinated omission.
-type pacer struct {
-	clock Clock
-	sched dist.Schedule
-	next  time.Time
-}
-
-func newPacer(clock Clock, sched dist.Schedule) *pacer {
-	return &pacer{clock: clock, sched: sched, next: clock.Now()}
-}
-
-// tick blocks until the current event's intended arrival time and
-// returns it, along with the dispatch lag: zero when the pacer ran on
-// schedule, or how far past the intended time it actually dispatched.
-func (p *pacer) tick() (intended time.Time, lag time.Duration) {
-	intended = p.next
-	p.next = p.next.Add(time.Duration(p.sched.NextGapNs()))
-	now := p.clock.Now()
-	if d := intended.Sub(now); d > 0 {
-		p.clock.Sleep(d)
-		return intended, 0
-	}
-	return intended, now.Sub(intended)
-}
-
-// pending is one dispatched event waiting in the in-flight queue.
+// pending is one admitted arrival waiting in the in-flight ring.
 type pending struct {
 	a        kv.Access
 	intended time.Time
@@ -141,11 +118,12 @@ func RunOpenLoop(store kv.Store, trace []kv.Access, opts OpenLoopOptions) (Resul
 }
 
 // RunOpenLoopSource replays a streaming access source against store
-// under an open-loop arrival schedule. Events are applied in source
-// order by a single service worker, so the final store state is
-// identical to a closed-loop replay of the same source; only the timing
-// measurements differ. With StallTimeout set, a stalled run returns its
-// partial Result (Degraded=true) and ErrStalled.
+// under an open-loop arrival schedule. One dispatch loop on the calling
+// goroutine admits arrivals as they fall due and applies them in source
+// order, so the final store state is identical to a closed-loop replay
+// of the same source; only the timing measurements differ. With
+// StallTimeout set, a stalled run returns its partial Result
+// (Degraded=true) and ErrStalled.
 func RunOpenLoopSource(store kv.Store, src Source, opts OpenLoopOptions) (Result, error) {
 	if err := opts.Validate(); err != nil {
 		return Result{}, err
@@ -162,6 +140,7 @@ func RunOpenLoopSource(store kv.Store, src Source, opts OpenLoopOptions) (Result
 	if depth == 0 {
 		depth = DefaultMaxInFlight
 	}
+	wait := newWaiter(clock)
 	// Build the collector without the Observer: open-loop accounting must
 	// be armed before any telemetry sampler can snapshot the collector.
 	c, err := NewCollector(store, Options{SampleEvery: opts.SampleEvery, StallTimeout: opts.StallTimeout, Tracer: opts.Tracer})
@@ -173,45 +152,10 @@ func RunOpenLoopSource(store kv.Store, src Source, opts OpenLoopOptions) (Result
 		opts.Observer(c)
 	}
 
-	queue := make(chan pending, depth)
 	var res Result
 	var runErr error
 	stalled := Guard(opts.StallTimeout, []*Collector{c}, func() {
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			for p := range queue {
-				if err := c.DoAt(p.a, p.intended); err != nil && runErr == nil {
-					// First failure aborts the run; later iterations just
-					// drain the queue (DoAt returns ErrAborted immediately)
-					// so the pacer's sends cannot wedge.
-					runErr = err
-					c.Abort()
-				}
-			}
-		}()
-		pace := newPacer(clock, sched)
-		for !c.aborted.Load() {
-			a, ok := src.Next()
-			if !ok {
-				break
-			}
-			intended, lag := pace.tick()
-			c.noteDispatch(lag)
-			select {
-			case queue <- pending{a: a, intended: intended}:
-			default:
-				// Queue full at the intended arrival: overload. The event
-				// still goes in (state equivalence with closed loop); the
-				// wait is charged to its intended-arrival latency.
-				c.overload.Add(1)
-				if !blockingSend(c, queue, pending{a: a, intended: intended}) {
-					break
-				}
-			}
-		}
-		close(queue)
-		<-done
+		runErr = c.dispatch(src, sched, make([]pending, depth), wait)
 		res = c.Finish()
 	})
 	if stalled {
@@ -220,20 +164,58 @@ func RunOpenLoopSource(store kv.Store, src Source, opts OpenLoopOptions) (Result
 	return res, runErr
 }
 
-// blockingSend delivers p to a full queue, polling the collector's
-// aborted flag so a wedged run can still be torn down. Reports whether
-// the send succeeded (false: the run was aborted first).
-func blockingSend(c *Collector, queue chan<- pending, p pending) bool {
-	t := time.NewTicker(time.Millisecond)
-	defer t.Stop()
-	for {
-		select {
-		case queue <- p:
-			return true
-		case <-t.C:
-			if c.aborted.Load() {
-				return false
+// dispatch is the open-loop driver: one loop that admits every arrival
+// whose intended time has come into ring, serves the oldest admitted
+// arrival, and waits for the next intended time only when ring is empty.
+// Intended times accumulate from the schedule alone — t_k = t_0 + the
+// first k gaps — and never slip to match a slow store, which is what
+// makes intended-arrival latency immune to coordinated omission. An
+// arrival that falls due while ring is full is counted once in Overload
+// and admitted, intended time unchanged, as soon as a slot frees. The
+// store call is synchronous; an asynchronous Submit would turn serve
+// into submit and add a reap step here.
+func (c *Collector) dispatch(src Source, sched dist.Schedule, ring []pending, wait *waiter) error {
+	head, n := 0, 0 // ring[head] is the oldest of the n admitted arrivals
+	now := c.clock.Now()
+	next := now // intended time of a, the first arrival not yet admitted
+	a, more := src.Next()
+	counted := false // a is already in Overload
+	for more || n > 0 {
+		if c.aborted.Load() {
+			return ErrAborted
+		}
+		for more && !next.After(now) {
+			if n == len(ring) {
+				if !counted {
+					c.overload.Add(1)
+					counted = true
+				}
+				break
 			}
+			c.noteDispatch(now.Sub(next))
+			tail := head + n
+			if tail >= len(ring) {
+				tail -= len(ring)
+			}
+			ring[tail] = pending{a: a, intended: next}
+			n++
+			next = next.Add(time.Duration(sched.NextGapNs()))
+			a, more = src.Next()
+			counted = false
+		}
+		if n == 0 {
+			now = wait.until(next)
+			continue
+		}
+		p := ring[head]
+		if head++; head == len(ring) {
+			head = 0
+		}
+		n--
+		var err error
+		if now, err = c.DoAt(p.a, p.intended); err != nil {
+			return err
 		}
 	}
+	return nil
 }

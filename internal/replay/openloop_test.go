@@ -2,8 +2,11 @@ package replay
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -13,10 +16,11 @@ import (
 	"gadget/internal/kv"
 	"gadget/internal/memstore"
 	"gadget/internal/stats"
+	"gadget/internal/tracing"
 )
 
 // simClock is a fake Clock: Sleep advances time instead of waiting, so
-// pacer and accounting tests run instantly and deterministically.
+// schedule and accounting tests run instantly and deterministically.
 type simClock struct {
 	mu  sync.Mutex
 	now time.Time
@@ -124,58 +128,146 @@ func TestOpenLoopValidation(t *testing.T) {
 	}
 }
 
-func TestPacerSimulatedClock(t *testing.T) {
-	clk := newSimClock()
-	t0 := clk.Now()
-	p := newPacer(clk, dist.NewConstantRate(1000)) // 1ms gaps
-	for i := 0; i < 5; i++ {
-		intended, lag := p.tick()
-		if want := t0.Add(time.Duration(i) * time.Millisecond); !intended.Equal(want) {
-			t.Fatalf("tick %d intended %v, want %v", i, intended, want)
-		}
-		if lag != 0 {
-			t.Fatalf("tick %d on-schedule lag = %v", i, lag)
-		}
-		if !clk.Now().Equal(intended) {
-			t.Fatalf("tick %d did not sleep to the intended time", i)
-		}
-	}
-	// Fall 10ms behind schedule: intended times must NOT slip, and the
-	// backlog must surface as dispatch lag.
-	clk.Advance(10 * time.Millisecond) // now = t0+14ms, next intended = t0+5ms
-	intended, lag := p.tick()
-	if want := t0.Add(5 * time.Millisecond); !intended.Equal(want) {
-		t.Fatalf("late intended %v, want %v (intended times slipped)", intended, want)
-	}
-	if lag != 9*time.Millisecond {
-		t.Fatalf("lag = %v, want 9ms", lag)
-	}
-	// The next event is due 1ms later on the original schedule.
-	intended, lag = p.tick()
-	if want := t0.Add(6 * time.Millisecond); !intended.Equal(want) {
-		t.Fatalf("second late intended %v, want %v", intended, want)
-	}
-	if lag != 8*time.Millisecond {
-		t.Fatalf("second lag = %v, want 8ms", lag)
-	}
-}
-
 // simStallStore advances a simClock by stall on every stallEvery-th Put
-// — a store whose service time is simulated rather than slept.
+// — a store whose service time is simulated rather than slept — and
+// records the simulated time each Put was called at.
 type simStallStore struct {
 	*memstore.Store
 	clk        *simClock
-	n          int
 	stallEvery int
 	stall      time.Duration
+	calls      []time.Time
 }
 
 func (s *simStallStore) Put(key, value []byte) error {
-	s.n++
-	if s.n%s.stallEvery == 0 {
+	s.calls = append(s.calls, s.clk.Now())
+	if len(s.calls)%s.stallEvery == 0 {
 		s.clk.Advance(s.stall)
 	}
 	return s.Store.Put(key, value)
+}
+
+// TestOpenLoopIntendedTimesNeverSlip drives the dispatch loop on a
+// simulated clock, where nothing takes time except the schedule's gaps
+// and one 10ms stall inside the store's 20th Put. Every op must be
+// served at max(its intended time, the moment the store came free) with
+// intended times t_0 + the gaps of a twin schedule, bit for bit: the
+// backlog behind the stall is served late, charged from its intended
+// times, and once it drains the ops are back on the original schedule.
+func TestOpenLoopIntendedTimesNeverSlip(t *testing.T) {
+	const n, stallEvery, stall = 39, 20, 10 * time.Millisecond
+	schedules := map[string]func() dist.Schedule{
+		"constant": func() dist.Schedule { return dist.NewConstantRate(1000) },
+		"poisson":  func() dist.Schedule { return dist.NewPoissonRate(1000, rand.New(rand.NewSource(9))) },
+		"bursts": func() dist.Schedule {
+			b, err := dist.NewBursts([]dist.BurstPhase{
+				{RatePerSec: 2000, Duration: 5 * time.Millisecond},
+				{RatePerSec: 500, Duration: 8 * time.Millisecond},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		},
+	}
+	for name, mk := range schedules {
+		t.Run(name, func(t *testing.T) {
+			clk := newSimClock()
+			st := &simStallStore{Store: memstore.New(), clk: clk, stallEvery: stallEvery, stall: stall}
+			defer st.Close()
+			res, err := RunOpenLoop(st, putTrace(n), OpenLoopOptions{Arrivals: mk(), MaxInFlight: 64, Clock: clk})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(st.calls) != n || res.Ops != n || res.Offered != n || res.Overload != 0 {
+				t.Fatalf("calls=%d ops=%d offered=%d overload=%d, want %d/%d/%d/0", len(st.calls), res.Ops, res.Offered, res.Overload, n, n, n)
+			}
+			twin := mk()
+			want := stats.NewHistogram()
+			var maxLag time.Duration
+			// The first arrival is due at the schedule epoch and served at
+			// once, so its call time is t_0.
+			intended, free := st.calls[0], st.calls[0]
+			for k := 0; k < n; k++ {
+				served := intended
+				if free.After(served) {
+					served = free
+				}
+				if !st.calls[k].Equal(served) {
+					t.Fatalf("op %d served at +%v, want +%v (intended +%v): intended times slipped",
+						k, st.calls[k].Sub(st.calls[0]), served.Sub(st.calls[0]), intended.Sub(st.calls[0]))
+				}
+				if k == n-1 && !served.Equal(intended) {
+					t.Fatalf("last op still late by %v: pick a schedule whose backlog drains", served.Sub(intended))
+				}
+				maxLag = max(maxLag, served.Sub(intended))
+				free = served
+				if (k+1)%stallEvery == 0 {
+					free = free.Add(stall)
+				}
+				want.Record(free.Sub(intended).Nanoseconds())
+				intended = intended.Add(time.Duration(twin.NextGapNs()))
+			}
+			if maxLag < stall/2 {
+				t.Fatalf("max lag %v: the stall delayed nothing, the case is vacuous", maxLag)
+			}
+			if res.MaxLag != maxLag {
+				t.Fatalf("MaxLag = %v, want %v", res.MaxLag, maxLag)
+			}
+			for _, q := range []float64{0.5, 0.9, 0.99, 1} {
+				if got, w := res.IntendedLatency.Quantile(q), want.Quantile(q); got != w {
+					t.Fatalf("intended latency q%v = %v, want %v", q, time.Duration(got), time.Duration(w))
+				}
+			}
+		})
+	}
+}
+
+// TestOpenLoopOverloadHandComputed pins the overload contract on a
+// simulated clock: 1ms arrivals, a ring of 4, and a store that stalls
+// 10ms inside op 19 (called at +19ms, back at +29ms). Arrivals 20..29
+// fall due during the stall. 20..23 fill the ring at +29ms, lagging
+// 9..6ms; each of 24..29 finds the ring full when its turn comes, is
+// counted once and admitted when the next op frees a slot, lagging
+// 5..0ms. All of it happens at +29ms, so ops 19..28 are charged
+// 10..1ms from their intended times and everything else 0.
+func TestOpenLoopOverloadHandComputed(t *testing.T) {
+	clk := newSimClock()
+	st := &simStallStore{Store: memstore.New(), clk: clk, stallEvery: 20, stall: 10 * time.Millisecond}
+	defer st.Close()
+	res, err := RunOpenLoop(st, putTrace(39), OpenLoopOptions{Rate: 1000, MaxInFlight: 4, Clock: clk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Ops != 39 || res.Offered != 39 || st.Len() != 39 {
+		t.Fatalf("ops=%d offered=%d stored=%d, want 39/39/39: an overloaded arrival was dropped", res.Ops, res.Offered, st.Len())
+	}
+	if res.Overload != 6 {
+		t.Fatalf("Overload = %d, want 6", res.Overload)
+	}
+	if res.MaxLag != 9*time.Millisecond {
+		t.Fatalf("MaxLag = %v, want 9ms", res.MaxLag)
+	}
+	if got := res.IntendedP99(); got != 10*time.Millisecond {
+		t.Fatalf("intended p99 = %v, want 10ms", got)
+	}
+	if got := res.IntendedLatency.Quantile(0.5); got != 0 {
+		t.Fatalf("intended p50 = %v, want 0", time.Duration(got))
+	}
+	if got, want := res.IntendedLatency.Sum(), float64(55*time.Millisecond); got != want {
+		t.Fatalf("intended latency sum = %v, want %v", time.Duration(got), time.Duration(want))
+	}
+	// The whole run sits on the simulated timeline: the last arrival is
+	// due, and served, at +38ms.
+	if res.Duration != 38*time.Millisecond {
+		t.Fatalf("Duration = %v, want 38ms", res.Duration)
+	}
+	if want := 39 / 0.038; res.OfferedRate != want || res.AchievedRate != want {
+		t.Fatalf("offered/achieved rate = %v/%v, want %v", res.OfferedRate, res.AchievedRate, want)
+	}
+	if res.Degraded {
+		t.Fatal("overload alone must not degrade the run")
+	}
 }
 
 // TestDoAtCoordinatedOmissionSimClock drives the open-loop accounting on
@@ -202,7 +294,7 @@ func TestDoAtCoordinatedOmissionSimClock(t *testing.T) {
 		if d := intended.Sub(clk.Now()); d > 0 {
 			clk.Sleep(d)
 		}
-		if err := c.DoAt(kv.Access{Op: kv.OpPut, Key: kv.StateKey{Sub: uint64(i)}, Size: 8}, intended); err != nil {
+		if _, err := c.DoAt(kv.Access{Op: kv.OpPut, Key: kv.StateKey{Sub: uint64(i)}, Size: 8}, intended); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -216,10 +308,11 @@ func TestDoAtCoordinatedOmissionSimClock(t *testing.T) {
 	if got := res.IntendedP99(); got < 25*time.Millisecond {
 		t.Fatalf("intended p99 = %v does not reflect the 50ms stalls", got)
 	}
-	// Service time is real time here (the stall only moves the simulated
-	// clock), so the service histogram must stay microseconds-small.
+	// Service time is charged from the store call, not from the intended
+	// arrival: only the 10 stalled ops themselves carry the stall, 1% of
+	// the samples, so the service p99 stays below it.
 	if got := time.Duration(res.Latency.Quantile(0.99)); got > 5*time.Millisecond {
-		t.Fatalf("service p99 = %v; simulated stalls leaked into service time", got)
+		t.Fatalf("service p99 = %v; queueing delay leaked into service time", got)
 	}
 }
 
@@ -468,5 +561,83 @@ func TestResultStringOpenLoopFields(t *testing.T) {
 	}
 	if testing.Verbose() {
 		fmt.Println(s)
+	}
+}
+
+// nopStore applies nothing, leaving a run's time to the driver.
+type nopStore struct{ *memstore.Store }
+
+func (nopStore) Put(_, _ []byte) error { return nil }
+
+// TestOpenLoopDispatchOnTime runs 0.3s of 100k ev/s constant arrivals
+// against a store that costs nothing, on the wall clock: the 10µs gaps
+// are a hundredth of what a sleep resolves, and the driver must still
+// hand the median arrival over within a fraction of a timer quantum and
+// complete what was offered. The dispatch delay is read where traced
+// runs report it, the sched stage of the 1-in-64 sampled ops.
+func TestOpenLoopDispatchOnTime(t *testing.T) {
+	const rate, n = 100_000, 30_000
+	st := nopStore{memstore.New()}
+	defer st.Close()
+	tr := tracing.New(tracing.Options{SampleN: 64})
+	res, err := RunOpenLoop(st, putTrace(n), OpenLoopOptions{Rate: rate, Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Ops != n || res.Offered != n {
+		t.Fatalf("ops=%d offered=%d, want %d/%d", res.Ops, res.Offered, n, n)
+	}
+	sched := tr.StageHist(tracing.StageSched)
+	if sched.Count() < n/64*9/10 {
+		t.Fatalf("only %d of %d traced ops carry a sched stage", sched.Count(), n/64)
+	}
+	if lag := time.Duration(sched.Quantile(0.5)); lag >= 100*time.Microsecond {
+		t.Fatalf("median dispatch lag %v, want < 100µs", lag)
+	}
+	if math.Abs(res.AchievedRate/rate-1) > 0.01 {
+		t.Fatalf("achieved %.0f ev/s of %d offered, want within 1%%", res.AchievedRate, rate)
+	}
+}
+
+// TestOpenLoopAbortMidRun aborts a run from outside, through the
+// collector its Observer was handed, while a slow store keeps the ring
+// full: the run must end Degraded with ErrAborted, short of the trace,
+// and leave no goroutine behind.
+func TestOpenLoopAbortMidRun(t *testing.T) {
+	before := runtime.NumGoroutine()
+	st := kv.NewChaosStore(memstore.New(), kv.ChaosPlan{LatencyRate: 1, Latency: 200 * time.Microsecond})
+	defer st.Close()
+	aborter := make(chan struct{})
+	res, err := RunOpenLoop(st, putTrace(5000), OpenLoopOptions{
+		Rate: 1e6, MaxInFlight: 8,
+		Observer: func(c *Collector) {
+			go func() {
+				defer close(aborter)
+				for c.overload.Load() < 50 {
+					time.Sleep(time.Millisecond)
+				}
+				c.Abort()
+			}()
+		},
+	})
+	<-aborter
+	if !errors.Is(err, ErrAborted) {
+		t.Fatalf("err = %v, want ErrAborted", err)
+	}
+	if !res.Degraded {
+		t.Fatal("aborted run not tagged Degraded")
+	}
+	if res.Ops == 0 || res.Ops >= 5000 {
+		t.Fatalf("ops = %d, want a partial run", res.Ops)
+	}
+	if res.Overload < 50 {
+		t.Fatalf("overload = %d: the ring was not full at the abort", res.Overload)
+	}
+	// The aborter has closed its channel but may not have exited yet.
+	for i := 0; runtime.NumGoroutine() > before && i < 100; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines before the run, %d after", before, after)
 	}
 }

@@ -139,11 +139,11 @@ type Result struct {
 
 	// Offered is the number of events the arrival schedule dispatched.
 	Offered uint64
-	// Overload counts events that found the bounded in-flight queue full
-	// at their intended arrival time. Overloaded events are delayed, not
-	// dropped (state equivalence with closed-loop replay is preserved);
-	// the delay is charged to IntendedLatency instead of being absorbed
-	// into a rescheduled arrival.
+	// Overload counts events that fell due while the bounded in-flight
+	// ring was full. Overloaded events are delayed, not dropped (state
+	// equivalence with closed-loop replay is preserved); the delay is
+	// charged to IntendedLatency instead of being absorbed into a
+	// rescheduled arrival.
 	Overload uint64
 	// OfferedRate is Offered divided by Duration (events/second): the
 	// load the schedule actually presented.
@@ -151,8 +151,8 @@ type Result struct {
 	// AchievedRate is the completion rate (== Throughput for open-loop
 	// runs; kept explicit so merged and printed results stay coherent).
 	AchievedRate float64
-	// MaxLag is the maximum dispatch lag: how far the pacer fell behind
-	// the intended schedule when handing events to the in-flight queue.
+	// MaxLag is the maximum dispatch lag: how far past its intended time
+	// the dispatch loop admitted an event to the in-flight ring.
 	MaxLag time.Duration
 	// IntendedLatency measures each operation from its *intended*
 	// arrival time to completion, so queueing delay behind a slow store
@@ -409,12 +409,15 @@ type Collector struct {
 	transientErr    atomic.Uint64
 	transientStreak atomic.Uint64 // consecutive transient errors, reset on success
 	fatalErr        atomic.Uint64
-	lastProgress    atomic.Int64 // UnixNano of the last completed op
+	lastProgress    atomic.Int64 // elapsed() at the last completed op, in ns
 	aborted         atomic.Bool
 	finished        atomic.Bool
 
+	// pace holds a ServiceRate run to its schedule (nil when unpaced).
+	pace *waiter
+
 	// Open-loop accounting, armed by enableOpenLoop. The clock is the
-	// pacer's notion of time (a fake in simulated-clock tests), so
+	// dispatch loop's notion of time (a fake in simulated-clock tests), so
 	// intended-arrival latencies stay on one timeline with the schedule.
 	clock    Clock
 	offered  atomic.Uint64
@@ -454,7 +457,11 @@ func NewCollector(store kv.Store, opts Options) (*Collector, error) {
 	if sample == 0 {
 		sample = 1
 	}
-	c := &Collector{store: store, opts: opts, sample: uint64(sample), start: time.Now()}
+	var pace *waiter
+	if opts.ServiceRate > 0 {
+		pace = newWaiter(wallClock{})
+	}
+	c := &Collector{store: store, opts: opts, sample: uint64(sample), pace: pace, start: time.Now()}
 	c.res.Latency = stats.NewHistogram()
 	for i := range c.res.PerOp {
 		c.res.PerOp[i] = stats.NewHistogram()
@@ -464,7 +471,6 @@ func NewCollector(store kv.Store, opts Options) (*Collector, error) {
 		c.base = rep.ResilienceCounters()
 	}
 	c.introBase = kv.MetricsOf(store)
-	c.lastProgress.Store(time.Now().UnixNano())
 	if opts.Observer != nil {
 		opts.Observer(c)
 	}
@@ -477,36 +483,51 @@ func (c *Collector) Store() kv.Store { return c.store }
 
 // enableOpenLoop arms the collector's open-loop accounting: the
 // intended-arrival latency histogram and the clock shared with the
-// pacer. Must be called before the first operation (and before the
-// collector is handed to any Observer).
+// dispatch loop, on which the run restarts. Must be called before the
+// first operation (and before the collector is handed to any Observer).
 func (c *Collector) enableOpenLoop(clock Clock) {
 	c.clock = clock
+	c.start = clock.Now()
 	c.res.IntendedLatency = stats.NewHistogram()
 }
 
-// DoAt applies and measures one access dispatched by the open-loop
-// pacer: service latency is recorded exactly as Do does, and the
-// operation is additionally charged from its intended arrival time, so
-// queueing delay behind a slow store shows up in IntendedLatency.
-// Traced operations carry that same dispatch delay as StageSched.
-func (c *Collector) DoAt(a kv.Access, intended time.Time) error {
-	err := c.do(a, c.clock.Now().Sub(intended))
-	if !errors.Is(err, ErrAborted) {
-		c.res.IntendedLatency.Record(c.clock.Now().Sub(intended).Nanoseconds())
+// elapsed is the time since the run started, on the run's own clock.
+func (c *Collector) elapsed() time.Duration {
+	if c.clock != nil {
+		return c.clock.Now().Sub(c.start)
 	}
-	return err
+	return time.Since(c.start)
 }
 
-// noteDispatch records one scheduled event handed to the in-flight
-// queue, and how far behind schedule the pacer was when it did.
+// DoAt applies and measures one access admitted by the open-loop
+// dispatch loop, reading the clock twice: once before the store call —
+// the gap back to intended is the dispatch delay, a traced op's
+// StageSched — and once after it, which closes service latency and
+// intended-arrival latency alike, so queueing delay behind a slow store
+// shows up in IntendedLatency. It returns that closing read.
+func (c *Collector) DoAt(a kv.Access, intended time.Time) (time.Time, error) {
+	if c.aborted.Load() {
+		return time.Time{}, ErrAborted
+	}
+	t0 := c.clock.Now()
+	tc := c.opts.Tracer.Start(uint8(a.Op))
+	tc.Add(tracing.StageSched, t0.Sub(intended).Nanoseconds())
+	missed, err := c.apply(a, tc)
+	end := c.clock.Now()
+	if c.i.Load()%c.sample == 0 {
+		c.recordService(a.Op, end.Sub(t0))
+	}
+	c.res.IntendedLatency.Record(end.Sub(intended).Nanoseconds())
+	return end, c.complete(missed, err, end.Sub(c.start))
+}
+
+// noteDispatch records one scheduled event admitted to the in-flight
+// ring, and how far past its intended time that happened. Only the
+// dispatch loop writes maxLagNs.
 func (c *Collector) noteDispatch(lag time.Duration) {
 	c.offered.Add(1)
-	ns := lag.Nanoseconds()
-	for {
-		cur := c.maxLagNs.Load()
-		if ns <= cur || c.maxLagNs.CompareAndSwap(cur, ns) {
-			return
-		}
+	if ns := lag.Nanoseconds(); ns > c.maxLagNs.Load() {
+		c.maxLagNs.Store(ns)
 	}
 }
 
@@ -522,54 +543,58 @@ func (c *Collector) Abort() {
 }
 
 // Do applies and measures one access. It returns an error only after the
-// store has failed persistently or the run was aborted.
-func (c *Collector) Do(a kv.Access) error { return c.do(a, -1) }
-
-// do is the shared Do/DoAt body. sched < 0 means the access has no
-// intended-arrival schedule (closed-loop); otherwise it is the dispatch
-// delay charged to a traced op's StageSched.
-func (c *Collector) do(a kv.Access, sched time.Duration) error {
+// store has failed persistently or the run was aborted. Both readings
+// around the store call are monotonic-only (time since start), and the
+// closing one doubles as the watchdog's progress mark.
+func (c *Collector) Do(a kv.Access) error {
 	if c.aborted.Load() {
 		return ErrAborted
 	}
 	i := c.i.Load()
-	if c.opts.ServiceRate > 0 {
+	if c.pace != nil {
 		// Pace the replay: operation i is due at start + i/rate.
-		due := c.start.Add(time.Duration(float64(i) / c.opts.ServiceRate * float64(time.Second)))
-		if d := time.Until(due); d > 0 {
-			time.Sleep(d)
-		}
+		c.pace.until(c.start.Add(time.Duration(float64(i) / c.opts.ServiceRate * float64(time.Second))))
 	}
 	measure := i%c.sample == 0
-	var tc *tracing.Ctx
-	if c.opts.Tracer != nil {
-		tc = c.opts.Tracer.Start(uint8(a.Op))
-		if sched >= 0 {
-			tc.Add(tracing.StageSched, sched.Nanoseconds())
-		}
-	}
-	var t0 time.Time
+	tc := c.opts.Tracer.Start(uint8(a.Op))
+	var t0 time.Duration
 	if measure {
-		t0 = time.Now()
+		t0 = time.Since(c.start)
 	}
-	var missed bool
-	var err error
-	if tc != nil {
-		missed, err = applyTraced(c.store, a, c.keyBuf[:], tc)
-		c.opts.Tracer.Finish(tc)
-	} else {
-		missed, err = Apply(c.store, a, c.keyBuf[:])
-	}
+	missed, err := c.apply(a, tc)
+	end := time.Since(c.start)
 	if measure {
-		lat := time.Since(t0).Nanoseconds()
-		c.res.Latency.Record(lat)
-		c.res.PerOp[a.Op].Record(lat)
+		c.recordService(a.Op, end-t0)
 	}
+	return c.complete(missed, err, end)
+}
+
+// apply runs one access against the store; a sampled one (tc non-nil)
+// travels the traced path and its trace is finished here.
+func (c *Collector) apply(a kv.Access, tc *tracing.Ctx) (bool, error) {
+	if tc == nil {
+		return Apply(c.store, a, c.keyBuf[:])
+	}
+	missed, err := applyTraced(c.store, a, c.keyBuf[:], tc)
+	c.opts.Tracer.Finish(tc)
+	return missed, err
+}
+
+func (c *Collector) recordService(op kv.Op, lat time.Duration) {
+	c.res.Latency.Record(lat.Nanoseconds())
+	c.res.PerOp[op].Record(lat.Nanoseconds())
+}
+
+// complete counts one finished operation: the miss, the progress mark
+// the watchdog reads (elapsed is the operation's closing clock read as
+// time since start) and the error accounting that ends a run whose
+// store has failed persistently.
+func (c *Collector) complete(missed bool, err error, elapsed time.Duration) error {
 	if missed {
 		c.misses.Add(1)
 	}
 	c.i.Add(1)
-	c.lastProgress.Store(time.Now().UnixNano())
+	c.lastProgress.Store(int64(elapsed))
 	if err != nil {
 		if kv.Transient(err) {
 			c.transientErr.Add(1)
@@ -624,7 +649,7 @@ func (c *Collector) fill(res *Result) {
 	res.Checkpoints = c.checkpoints.Load()
 	res.CheckpointCost = time.Duration(c.checkpointNs.Load())
 	res.CheckpointBytes = c.checkpointBytes.Load()
-	res.Duration = time.Since(c.start)
+	res.Duration = c.elapsed()
 	if res.Duration > 0 {
 		res.Throughput = float64(res.Ops) / res.Duration.Seconds()
 	}

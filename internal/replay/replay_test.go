@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -103,24 +104,50 @@ func TestSampling(t *testing.T) {
 	}
 }
 
+// timedStore records when each Put was called.
+type timedStore struct {
+	*memstore.Store
+	calls []time.Time
+}
+
+func (s *timedStore) Put(key, value []byte) error {
+	s.calls = append(s.calls, time.Now())
+	return s.Store.Put(key, value)
+}
+
+// TestServiceRate checks that a paced run takes the time its rate
+// implies and that the store sees the pacing gap between ops. At 20k
+// ops/s the 50µs gap is far below what a sleep resolves: released in
+// timer-quantum bursts the run still ends on time, but the median gap
+// the store sees collapses to nothing.
 func TestServiceRate(t *testing.T) {
-	st := memstore.New()
-	defer st.Close()
-	trace := make([]kv.Access, 50)
-	for i := range trace {
-		trace[i] = kv.Access{Op: kv.OpPut, Key: kv.StateKey{Group: uint64(i)}, Size: 8}
-	}
-	start := time.Now()
-	res, err := Run(st, trace, Options{ServiceRate: 1000}) // 50 ops at 1000/s ~ 50ms
-	if err != nil {
-		t.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	if elapsed < 40*time.Millisecond {
-		t.Fatalf("service rate not honored: %v", elapsed)
-	}
-	if res.Throughput > 1500 {
-		t.Fatalf("throughput %v exceeds service rate", res.Throughput)
+	for _, tc := range []struct {
+		rate float64
+		ops  int
+	}{{1000, 50}, {20_000, 2000}} {
+		st := &timedStore{Store: memstore.New()}
+		trace := make([]kv.Access, tc.ops)
+		for i := range trace {
+			trace[i] = kv.Access{Op: kv.OpPut, Key: kv.StateKey{Group: uint64(i)}, Size: 8}
+		}
+		res, err := Run(st, trace, Options{ServiceRate: tc.rate})
+		st.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := time.Duration(float64(tc.ops) / tc.rate * float64(time.Second))
+		if res.Duration < want*9/10 || res.Duration > want*11/10 {
+			t.Fatalf("%d ops at %v/s took %v, want %v within 10%%", tc.ops, tc.rate, res.Duration, want)
+		}
+		gaps := make([]time.Duration, 0, tc.ops-1)
+		for i := 1; i < len(st.calls); i++ {
+			gaps = append(gaps, st.calls[i].Sub(st.calls[i-1]))
+		}
+		sort.Slice(gaps, func(i, j int) bool { return gaps[i] < gaps[j] })
+		gap := want / time.Duration(tc.ops)
+		if med := gaps[len(gaps)/2]; med < gap/2 || med > 2*gap {
+			t.Fatalf("%v ops/s: median gap between ops %v, want about %v", tc.rate, med, gap)
+		}
 	}
 }
 

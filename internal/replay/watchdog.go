@@ -84,14 +84,13 @@ func (w *Watchdog) monitor() {
 // checkStalled reports whether any unfinished collector has made no
 // progress within the timeout.
 func (w *Watchdog) checkStalled() bool {
-	now := time.Now().UnixNano()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for _, c := range w.cols {
 		if c.finished.Load() {
 			continue
 		}
-		if now-c.lastProgress.Load() > w.timeout.Nanoseconds() {
+		if c.elapsed()-time.Duration(c.lastProgress.Load()) > w.timeout {
 			return true
 		}
 	}
