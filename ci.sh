@@ -36,10 +36,11 @@ echo "== go test -race (store engines, full)"
 # Full (non-short) race pass over the store API and every engine: the
 # snapshot/iterator paths are exercised under concurrent writers in the
 # differential suite, and those schedules only run outside -short. The
-# LSM's point-read differential (memtable filters, hash-once probing,
-# WAL-replay rebuild) runs here too: its readers share the filters.
+# LSM's point-read differential (memtable indexes, hash-once probing,
+# WAL-replay rebuild) runs here too, with the snapshot iterators parked
+# on keys a writer rewrites, and the memtable's skiplist beside it.
 go test -race -timeout 10m ./internal/kv/ ./internal/stores/ \
-    ./internal/lsm/ ./internal/btree/ ./internal/memstore/ \
+    ./internal/lsm/ ./internal/skiplist/ ./internal/btree/ ./internal/memstore/ \
     ./internal/faster/ ./internal/lethe/ ./internal/remote/ \
     ./internal/shard/ ./internal/tracing/
 
@@ -137,6 +138,9 @@ go test -run '^$' -fuzz '^FuzzIterBounds$' -fuzztime 3s -timeout 5m ./internal/k
 echo "== fuzz checkpoint codec (short)"
 go test -run '^$' -fuzz '^FuzzCheckpointCodec$' -fuzztime 3s -timeout 5m ./internal/kv/
 
+echo "== fuzz memtable order (short)"
+go test -run '^$' -fuzz '^FuzzMemtableOrder$' -fuzztime 3s -timeout 5m ./internal/skiplist/
+
 echo "== bench drift guard"
 # Re-run the overhead-sensitive micro-benchmarks and compare ns/op
 # against results/bench-baseline.txt, failing on >25% regression. The
@@ -152,11 +156,12 @@ go test -run '^$' -bench 'BenchmarkResilientOverhead|BenchmarkObsOverhead|Benchm
 go test -run '^$' -bench '(BenchmarkSnapshotOverhead|BenchmarkScanRange|BenchmarkCheckpoint)/(rocksdb|berkeleydb)' -benchtime 0.5s -timeout 10m . | tee -a "$bench_out"
 go test -run '^$' -bench 'BenchmarkStripedHistogramRecordParallel|BenchmarkHistogramRecordParallel' -benchtime 0.5s -timeout 5m ./internal/stats/ | tee -a "$bench_out"
 # LSM point path: a read that misses every layer, a memtable hit, a
-# table hit, and the raw Bloom probe. A fixed iteration count keeps the
-# share of cold-cache probes the same on every box; -count 3 because a
-# memtable hit is a chain of cache misses and swings ~10% run to run
-# (the awk below averages duplicates).
-go test -run '^$' -bench 'BenchmarkGetMiss|BenchmarkGetMemHit|BenchmarkGetSSTHit' -benchtime 200000x -benchmem -count 3 -timeout 5m ./internal/lsm/ | tee -a "$bench_out"
+# table hit, a Put that rewrites a key the memtable holds, a Put of a
+# key it does not, and the raw Bloom probe. A fixed iteration count keeps
+# the share of cold-cache probes the same on every box; -count 3 because
+# these are chains of cache misses and swing ~10% run to run (the awk
+# below averages duplicates).
+go test -run '^$' -bench 'BenchmarkGetMiss|BenchmarkGetMemHit|BenchmarkGetSSTHit|BenchmarkPutHotKey|BenchmarkPutNewKey' -benchtime 200000x -benchmem -count 3 -timeout 5m ./internal/lsm/ | tee -a "$bench_out"
 go test -run '^$' -bench 'BenchmarkMayContain' -benchtime 0.5s -benchmem -timeout 5m ./internal/bloom/ | tee -a "$bench_out"
 # Sharded-remote scaling and the pipeline-depth sweep: TCP round trips
 # are the noisiest numbers in the suite, so each point is averaged over

@@ -187,6 +187,9 @@ func (db *DB) compactLocked(req *CompactionRequest) error {
 	}
 	db.stats.Compactions++
 	db.stats.BytesCompacted += inBytes
+	for _, fm := range outputs {
+		db.stats.BytesCompactedOut += uint64(fm.size)
+	}
 	db.stats.TombstonesDropped += dropped
 	return nil
 }

@@ -1,7 +1,6 @@
 package lsm
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 )
@@ -65,9 +64,6 @@ func decodeEscaped(b []byte) (key []byte, n int, err error) {
 }
 
 const trailerLen = 9
-
-// escapedLen is len(appendEscaped(nil, k)).
-func escapedLen(k []byte) int { return len(k) + bytes.Count(k, []byte{0x00}) + 2 }
 
 // appendIKey appends the internal key for (userKey, seq, kind) to dst.
 func appendIKey(dst, userKey []byte, seq uint64, kind byte) []byte {

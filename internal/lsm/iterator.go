@@ -37,12 +37,17 @@ func (h *scanHeap) Pop() interface{} {
 // applied newest-last, tombstones and shadowed entries skipped),
 // restricted to raw user keys in [lo, hi] (hi inclusive; nil hiFence =
 // unbounded) and to entries with sequence <= maxSeq. The seq filter is
-// what makes a pinned memtable set read as of snapshot time: skiplists
+// what makes a pinned memtable set read as of snapshot time: memtables
 // are insert-only, so entries written after the snapshot merely carry
 // higher sequences.
 //
 // The caller owns locking: every nextLocked call must run under the
-// DB's lock (memtable skiplists may be receiving inserts concurrently).
+// DB's lock (the active memtable may receive inserts between calls).
+// Such an insert can make the Key() of the active memtable's iterator
+// smaller while it sits in the heap — a newer version of the user key it
+// is parked on — but never past another source's key: the other sources
+// are older and hold only lower sequences of that user key, so the heap
+// order stands (skiplist.List.Add has the argument).
 type rangeIter struct {
 	h       scanHeap
 	hiFence []byte // escaped prefix of hi; nil = unbounded

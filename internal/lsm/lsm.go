@@ -35,7 +35,8 @@ import (
 type Options struct {
 	// Dir is the database directory; required.
 	Dir string
-	// MemtableSize is the flush threshold in bytes (default 32 MiB).
+	// MemtableSize is the flush threshold in bytes (default 32 MiB,
+	// at most 1 GiB: a memtable names its entries by 32-bit refs).
 	MemtableSize int64
 	// MaxImmutables is how many frozen memtables may queue before the
 	// writer flushes inline (default 1, i.e. two write buffers total as
@@ -71,6 +72,11 @@ func (o *Options) withDefaults() Options {
 	if out.MemtableSize <= 0 {
 		out.MemtableSize = 32 << 20
 	}
+	// A memtable's arenas address 4 GiB each. Chunk tails an entry did not
+	// fit into can waste up to half of that, so capping the threshold at
+	// 1 GiB leaves room for any entry the WAL's 1 GiB record limit lets
+	// through.
+	out.MemtableSize = min(out.MemtableSize, 1<<30)
 	if out.MaxImmutables <= 0 {
 		out.MaxImmutables = 1
 	}
@@ -95,21 +101,28 @@ func (o *Options) withDefaults() Options {
 
 // Stats exposes engine counters useful for write-amplification studies.
 type Stats struct {
-	Flushes                     uint64
-	Compactions                 uint64
-	BytesFlushed                uint64
-	BytesCompacted              uint64
-	TombstonesDropped           uint64
-	Gets, Puts, Merges, Deletes uint64
+	Flushes      uint64
+	Compactions  uint64
+	BytesFlushed uint64
+	// BytesCompacted is the size of the tables compactions read,
+	// BytesCompactedOut the size of the tables they wrote.
+	BytesCompacted, BytesCompactedOut uint64
+	TombstonesDropped                 uint64
+	Gets, Puts, Merges, Deletes       uint64
 	// StallNanos is cumulative time writers spent blocked on inline
 	// flush/compaction work (the harness's write-stall equivalent).
 	StallNanos uint64
 	// Bloom filter effectiveness across all tables: probes, filter
 	// rejections, and false positives (admitted but absent).
 	BloomChecks, BloomNegatives, BloomFalsePositives uint64
-	// Memtable filter effectiveness: memtables a Get consulted, and how
-	// many of them the filter ruled out (skiplist seeks skipped).
+	// Memtable index effectiveness: memtables a Get consulted, and how
+	// many of them the index ruled out (it is exact: the rest held the
+	// key). The names date from the Bloom filter the index replaced.
 	MemFilterChecks, MemFilterNegatives uint64
+	// MemtableArenaBytes is a gauge: the memory the active and immutable
+	// memtables hold (arena chunks, node arrays, indexes), as opposed to
+	// the threshold charge ApproximateSize counts.
+	MemtableArenaBytes uint64
 }
 
 const numLevels = 7
@@ -129,9 +142,11 @@ type DB struct {
 	closed  bool
 	stats   Stats
 	bloom   bloomCounters
-	// Memtable filter outcomes; atomics because Gets bump them under the
+	// Memtable index outcomes; atomics because Gets bump them under the
 	// read lock.
 	memFilterChecks, memFilterNegatives atomic.Uint64
+	// ikeyBuf is write's scratch for the internal key, reused under mu.
+	ikeyBuf []byte
 
 	// Snapshot accounting (atomics: iterators bump iterOps under the
 	// read lock).
@@ -155,7 +170,7 @@ func Open(opts Options) (*DB, error) {
 	db := &DB{
 		opts:    o,
 		cache:   cache.New(o.BlockCacheSize),
-		mem:     newMemtable(o.MemtableSize),
+		mem:     newMemtable(),
 		version: newVersion(),
 		nextNum: 1,
 	}
@@ -286,15 +301,11 @@ func (db *DB) write(key, value []byte, kind byte, tc *tracing.Ctx) error {
 		db.stats.Deletes++
 	}
 	db.seq++
-	// The memtable retains both slices, and callers may reuse theirs: the
-	// internal key and the value copy share one allocation.
-	n := escapedLen(key) + trailerLen
-	buf := append(appendIKey(make([]byte, 0, n+len(value)), key, db.seq, kind), value...)
-	ikey := buf[:n:n]
-	var v []byte // stays nil for an empty value, as a plain copy would
-	if len(value) > 0 {
-		v = buf[n:]
-	}
+	// Neither the log nor the memtable keeps the slices it is handed (the
+	// memtable's arena takes the one copy), so the internal key is built
+	// in a buffer the next write reuses and a write allocates nothing.
+	ikey := appendIKey(db.ikeyBuf[:0], key, db.seq, kind)
+	db.ikeyBuf = ikey
 	if db.wal != nil {
 		tw := tc.Now()
 		err := db.wal.append(ikey, value)
@@ -304,7 +315,7 @@ func (db *DB) write(key, value []byte, kind byte, tc *tracing.Ctx) error {
 		}
 	}
 	tm := tc.Now()
-	db.mem.add(ikey, v, kind)
+	db.mem.add(ikey, value, kind)
 	tc.AddSince(tracing.StageEngineMem, tm)
 	if db.mem.approxBytes() >= db.opts.MemtableSize {
 		// Rotation may flush and compact inline; the wall time it takes
@@ -323,7 +334,7 @@ func (db *DB) write(key, value []byte, kind byte, tc *tracing.Ctx) error {
 // immutables beyond the allowed backlog. Called with mu held.
 func (db *DB) rotateMemtableLocked() error {
 	db.imm = append(db.imm, db.mem)
-	db.mem = newMemtable(db.opts.MemtableSize)
+	db.mem = newMemtable()
 	for len(db.imm) > db.opts.MaxImmutables {
 		if err := db.flushOldestLocked(); err != nil {
 			return err
@@ -379,8 +390,8 @@ func (db *DB) get(key []byte, tc *tracing.Ctx) ([]byte, error) {
 }
 
 // memProbeLocked probes the active memtable, then the immutable ones
-// newest first, seeking a skiplist only where its filter admits the key
-// (hashed once for all of them). Called with mu read-held.
+// newest first, each through its index with the key hashed once for all
+// of them: no skiplist is descended. Called with mu read-held.
 func (db *DB) memProbeLocked(lk []byte, operands *[][]byte) (out []byte, err error, done bool) {
 	h := memHash(ikeyUserPrefix(lk))
 	var checks, negatives uint64
@@ -390,11 +401,11 @@ func (db *DB) memProbeLocked(lk []byte, operands *[][]byte) (out []byte, err err
 			m = db.imm[i]
 		}
 		checks++
-		if !m.filter.mayContain(h) {
+		v, res := m.get(lk, h, operands)
+		if res == lookupMissing {
 			negatives++
 			continue
 		}
-		v, res := m.get(lk, operands)
 		out, err, done = finishLookup(v, res, operands)
 	}
 	db.memFilterChecks.Add(checks)
@@ -479,7 +490,7 @@ func (db *DB) Flush() error {
 	}
 	if db.mem.len() > 0 {
 		db.imm = append(db.imm, db.mem)
-		db.mem = newMemtable(db.opts.MemtableSize)
+		db.mem = newMemtable()
 	}
 	for len(db.imm) > 0 {
 		if err := db.flushOldestLocked(); err != nil {
@@ -505,11 +516,17 @@ func (db *DB) CacheStats() (hits, misses uint64) {
 func (db *DB) StatsSnapshot() Stats {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
+	arena := db.mem.sl.MemBytes()
+	for _, m := range db.imm {
+		arena += m.sl.MemBytes()
+	}
 	return Stats{
 		Flushes:             db.stats.Flushes,
 		Compactions:         db.stats.Compactions,
 		BytesFlushed:        db.stats.BytesFlushed,
 		BytesCompacted:      db.stats.BytesCompacted,
+		BytesCompactedOut:   db.stats.BytesCompactedOut,
+		MemtableArenaBytes:  uint64(arena),
 		TombstonesDropped:   db.stats.TombstonesDropped,
 		Gets:                atomic.LoadUint64(&db.stats.Gets),
 		Puts:                db.stats.Puts,
@@ -536,6 +553,8 @@ func (db *DB) Metrics() map[string]int64 {
 		"lsm.compactions":           int64(st.Compactions),
 		"lsm.bytes_flushed":         int64(st.BytesFlushed),
 		"lsm.bytes_compacted":       int64(st.BytesCompacted),
+		"lsm.bytes_compacted_out":   int64(st.BytesCompactedOut),
+		"lsm.memtable_arena_bytes":  int64(st.MemtableArenaBytes),
 		"lsm.tombstones_dropped":    int64(st.TombstonesDropped),
 		"lsm.gets":                  int64(st.Gets),
 		"lsm.puts":                  int64(st.Puts),

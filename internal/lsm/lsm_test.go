@@ -504,6 +504,50 @@ func BenchmarkGetSSTHit(b *testing.B) {
 	benchGets(b, func(i, flushed, _ int) int { return 2 * (i % flushed) }, nil)
 }
 
+// benchPuts times Puts into a write buffer that never fills, so that no
+// flush is on the clock: every 1<<17 Puts (~45 MiB of entries) the
+// memtable is swapped for a fresh one with the timer stopped. With hot
+// set every Put rewrites one of 4096 keys the buffer already holds;
+// without, every Put brings a key it has not seen, in scattered order.
+func benchPuts(b *testing.B, hot bool) {
+	db := testDB(b, Options{Dir: b.TempDir(), MemtableSize: 1 << 30})
+	val := bytes.Repeat([]byte("v"), 256)
+	keys := make([][]byte, 4096)
+	for i := range keys {
+		keys[i] = benchKey(i * 7919)
+	}
+	fresh := benchKey(0)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%(1<<17) == 0 {
+			b.StopTimer()
+			db.mu.Lock()
+			db.mem = newMemtable()
+			db.mu.Unlock()
+			for _, k := range keys {
+				db.Put(k, val)
+			}
+			b.StartTimer()
+		}
+		k := keys[i%len(keys)]
+		if !hot {
+			binary.BigEndian.PutUint64(fresh[:8], 1<<32|uint64(uint32(i)*2654435761))
+			k = fresh
+		}
+		if err := db.Put(k, val); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPutHotKey rewrites keys the active memtable holds: the write
+// half of a streaming operator's read-modify-write.
+func BenchmarkPutHotKey(b *testing.B) { benchPuts(b, true) }
+
+// BenchmarkPutNewKey writes keys the active memtable does not hold yet,
+// each of which costs a skiplist descent.
+func BenchmarkPutNewKey(b *testing.B) { benchPuts(b, false) }
+
 func BenchmarkMerge(b *testing.B) {
 	db := testDB(b, Options{Dir: b.TempDir()})
 	op := bytes.Repeat([]byte("m"), 64)

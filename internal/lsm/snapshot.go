@@ -7,9 +7,12 @@ import (
 // MVCC snapshots. A snapshot pins the structures that can serve its
 // view: the current sequence number, the active memtable pointer, the
 // immutable memtable list, and a referenced copy of every live table.
-// Nothing is frozen or copied — skiplists are insert-only, so writes
+// Nothing is frozen or copied — memtables are insert-only, so writes
 // after the snapshot only add entries with higher sequences, which the
-// rangeIter's seq filter hides; tables flushed or compacted afterwards
+// rangeIter's seq filter hides (a newer version of a key takes over the
+// skiplist node of the version before it, which moves one step back: an
+// iterator parked there meets the newer one first and skips it, see
+// skiplist.List.Add); tables flushed or compacted afterwards
 // never enter the snapshot's file set, and its referenced inputs stay
 // open (and on disk) until the snapshot releases them. Reads take the
 // DB lock per operation, so writers keep making progress between

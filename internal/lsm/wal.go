@@ -28,6 +28,9 @@ type walWriter struct {
 	f    vfs.File
 	buf  *bufio.Writer
 	sync bool
+	// hdr is append's frame header. It lives here because a local one
+	// escapes through the io.Writer behind buf: one allocation per write.
+	hdr [12]byte
 }
 
 func newWALWriter(fs vfs.FS, path string, syncWrites bool) (*walWriter, error) {
@@ -40,7 +43,7 @@ func newWALWriter(fs vfs.FS, path string, syncWrites bool) (*walWriter, error) {
 
 func (w *walWriter) append(ikey, value []byte) error {
 	payloadLen := 4 + len(ikey) + len(value)
-	var hdr [12]byte
+	hdr := &w.hdr
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(payloadLen))
 	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(ikey)))
 	// The payload starts at hdr[8:]. crc32.Update, unlike a hash.Hash32,
