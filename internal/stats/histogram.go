@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 )
 
@@ -45,23 +46,11 @@ func bucketIndex(v int64) int {
 	}
 	// Highest set bit determines the octave; the subBucketBits bits below
 	// it select the linear sub-bucket.
-	msb := 63 - leadingZeros64(u)
+	msb := bits.Len64(u) - 1
 	shift := msb - subBucketBits
 	sub := (u >> uint(shift)) & (subBuckets - 1)
 	octave := msb - subBucketBits + 1
 	return octave*subBuckets + int(sub)
-}
-
-func leadingZeros64(x uint64) int {
-	n := 0
-	if x == 0 {
-		return 64
-	}
-	for x&(1<<63) == 0 {
-		x <<= 1
-		n++
-	}
-	return n
 }
 
 // bucketValue returns a representative (upper-bound) value for bucket i.

@@ -319,6 +319,39 @@ func TestBucketIndexValueConsistency(t *testing.T) {
 	}
 }
 
+// TestBucketIndexPinned holds the bucket layout where recorded results
+// put it: around every power of two, bucketIndex agrees with a layout
+// derived bit by bit (octave from the highest set bit found by shifting,
+// sub-bucket from the subBucketBits bits below it).
+func TestBucketIndexPinned(t *testing.T) {
+	want := func(v int64) int {
+		if v < subBuckets {
+			return int(v)
+		}
+		msb := 0
+		for x := uint64(v); x > 1; x >>= 1 {
+			msb++
+		}
+		return (msb-subBucketBits+1)*subBuckets + int(uint64(v)>>uint(msb-subBucketBits))&(subBuckets-1)
+	}
+	vals := []int64{0, 1}
+	for k := uint(1); k <= 62; k++ {
+		vals = append(vals, 1<<k-1, 1<<k, 1<<k+1)
+	}
+	for _, v := range vals {
+		if got := bucketIndex(v); got != want(v) {
+			t.Errorf("bucketIndex(%d) = %d, want %d", v, got, want(v))
+		}
+	}
+	// Spot values fixed as literals, so the reference above cannot drift
+	// together with the implementation.
+	for v, idx := range map[int64]int{0: 0, 31: 31, 32: 32, 63: 63, 64: 64, 65: 64, 1023: 191, 1024: 192, 1 << 62: 58 * 32} {
+		if got := bucketIndex(v); got != idx {
+			t.Errorf("bucketIndex(%d) = %d, want %d", v, got, idx)
+		}
+	}
+}
+
 func TestHistogramQuantilesBatch(t *testing.T) {
 	h := NewHistogram()
 	// Empty histogram: all zeros, one slot per requested quantile.
