@@ -141,7 +141,7 @@ func oracleState(trace []kv.Access) ([]kv.Entry, error) {
 	defer s.Close()
 	var keyBuf [kv.KeyLen]byte
 	for _, a := range trace {
-		if _, err := replay.Apply(s, a, keyBuf[:]); err != nil {
+		if _, err := replay.Apply(s, nil, a, keyBuf[:]); err != nil {
 			return nil, err
 		}
 	}

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sync"
 	"time"
+
+	"gadget/internal/tracing"
 )
 
 // ChaosPlan describes a deterministic, seeded schedule of operation-level
@@ -85,6 +87,7 @@ type ChaosStore struct {
 }
 
 var _ Store = (*ChaosStore)(nil)
+var _ Traceable = (*ChaosStore)(nil)
 
 // NewChaosStore wraps inner with plan. It panics on an invalid plan
 // (callers should Validate first when the plan comes from user input).
@@ -120,10 +123,11 @@ func (s *ChaosStore) Inner() Store { return s.inner }
 // Caps delegates to the wrapped store.
 func (s *ChaosStore) Caps() Capabilities { return CapsOf(s.inner) }
 
-// before runs the fault lottery for one operation. It returns a non-nil
-// error when the operation must fail without executing, and otherwise a
-// delay to impose before executing.
-func (s *ChaosStore) before() (time.Duration, error) {
+// admit runs the fault lottery for one operation. It returns a non-nil
+// error when the operation must fail without executing; otherwise it
+// imposes the delay the lottery drew, stamped as StageChaos on a sampled
+// op's Ctx, and the operation may execute.
+func (s *ChaosStore) admit(tc *tracing.Ctx) error {
 	s.mu.Lock()
 	s.c.Ops++
 	op := s.c.Ops
@@ -131,12 +135,12 @@ func (s *ChaosStore) before() (time.Duration, error) {
 		op <= uint64(s.plan.OutageAfterOps+s.plan.OutageOps) {
 		s.c.InjectedErrors++
 		s.mu.Unlock()
-		return 0, ErrInjectedFault
+		return ErrInjectedFault
 	}
 	if s.plan.ErrorRate > 0 && s.rng.Float64() < s.plan.ErrorRate {
 		s.c.InjectedErrors++
 		s.mu.Unlock()
-		return 0, ErrInjectedFault
+		return ErrInjectedFault
 	}
 	var delay time.Duration
 	if s.plan.StallEvery > 0 && op%uint64(s.plan.StallEvery) == 0 {
@@ -148,60 +152,53 @@ func (s *ChaosStore) before() (time.Duration, error) {
 		delay += s.plan.Latency
 	}
 	s.mu.Unlock()
-	return delay, nil
-}
-
-func (s *ChaosStore) admit() error {
-	delay, err := s.before()
-	if err != nil {
-		return err
-	}
 	if delay > 0 {
+		tc.Add(tracing.StageChaos, int64(delay))
 		time.Sleep(delay)
 	}
 	return nil
 }
 
+// DoTraced implements Traceable and is the body of every operation: the
+// admission lottery charges the op (a scan counts as one), then it
+// descends to the inner store. Injected errors fail before the inner
+// call.
+func (s *ChaosStore) DoTraced(tc *tracing.Ctx, op TracedOp) (TracedResult, error) {
+	if err := s.admit(tc); err != nil {
+		return TracedResult{}, err
+	}
+	return DoTraced(s.inner, tc, op)
+}
+
 // Get implements Store.
 func (s *ChaosStore) Get(key []byte) ([]byte, error) {
-	if err := s.admit(); err != nil {
-		return nil, err
-	}
-	return s.inner.Get(key)
+	res, err := s.DoTraced(nil, TracedOp{Op: OpGet, Key: key})
+	return res.Val, err
 }
 
 // Put implements Store.
 func (s *ChaosStore) Put(key, value []byte) error {
-	if err := s.admit(); err != nil {
-		return err
-	}
-	return s.inner.Put(key, value)
+	_, err := s.DoTraced(nil, TracedOp{Op: OpPut, Key: key, Val: value})
+	return err
 }
 
 // Merge implements Store.
 func (s *ChaosStore) Merge(key, operand []byte) error {
-	if err := s.admit(); err != nil {
-		return err
-	}
-	return s.inner.Merge(key, operand)
+	_, err := s.DoTraced(nil, TracedOp{Op: OpMerge, Key: key, Val: operand})
+	return err
 }
 
 // Delete implements Store.
 func (s *ChaosStore) Delete(key []byte) error {
-	if err := s.admit(); err != nil {
-		return err
-	}
-	return s.inner.Delete(key)
+	_, err := s.DoTraced(nil, TracedOp{Op: OpDelete, Key: key})
+	return err
 }
 
 // ScanRange implements RangeScanner when the wrapped store supports
-// scans: the admission lottery charges the scan as one operation, then
-// delegates.
+// scans.
 func (s *ChaosStore) ScanRange(lo, hi StateKey) ([]Entry, error) {
-	if err := s.admit(); err != nil {
-		return nil, err
-	}
-	return ScanRange(s.inner, lo, hi)
+	res, err := s.DoTraced(nil, TracedOp{Op: OpScan, Lo: lo, Hi: hi})
+	return res.Entries, err
 }
 
 // Snapshot implements Snapshotter when the wrapped store does. Acquiring
@@ -210,7 +207,7 @@ func (s *ChaosStore) ScanRange(lo, hi StateKey) ([]Entry, error) {
 // mid-scan with ErrInjectedFault — exactly the partial-failure mode a
 // resilience layer above has to absorb.
 func (s *ChaosStore) Snapshot() (Snapshot, error) {
-	if err := s.admit(); err != nil {
+	if err := s.admit(nil); err != nil {
 		return nil, err
 	}
 	snap, err := SnapshotOf(s.inner)
@@ -226,7 +223,7 @@ type chaosSnapshot struct {
 }
 
 func (cs *chaosSnapshot) Get(key []byte) ([]byte, error) {
-	if err := cs.s.admit(); err != nil {
+	if err := cs.s.admit(nil); err != nil {
 		return nil, err
 	}
 	return cs.inner.Get(key)
@@ -252,7 +249,7 @@ func (it *chaosIterator) Next() bool {
 	if it.err != nil {
 		return false
 	}
-	if err := it.s.admit(); err != nil {
+	if err := it.s.admit(nil); err != nil {
 		it.err = err
 		return false
 	}

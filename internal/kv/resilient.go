@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"gadget/internal/tracing"
 )
 
 // ResilienceOptions configures a ResilientStore. The zero value enables
@@ -105,9 +107,6 @@ const (
 type ResilientStore struct {
 	inner Store
 	opts  ResilienceOptions
-	// slowAlways forces the full pipeline for every op (set when a per-op
-	// deadline is configured, since that needs the attempt goroutine).
-	slowAlways bool
 
 	retries      atomic.Uint64
 	timeouts     atomic.Uint64
@@ -129,6 +128,7 @@ type ResilientStore struct {
 
 var (
 	_ Store              = (*ResilientStore)(nil)
+	_ Traceable          = (*ResilientStore)(nil)
 	_ ResilienceReporter = (*ResilientStore)(nil)
 )
 
@@ -139,19 +139,19 @@ func NewResilientStore(inner Store, opts ResilienceOptions) (*ResilientStore, er
 	}
 	o := opts.withDefaults()
 	return &ResilientStore{
-		inner:      inner,
-		opts:       o,
-		slowAlways: o.OpTimeout > 0,
-		rng:        rand.New(rand.NewSource(o.JitterSeed)),
+		inner: inner,
+		opts:  o,
+		rng:   rand.New(rand.NewSource(o.JitterSeed)),
 	}, nil
 }
 
 // fastOK reports whether an op may skip the resilience pipeline: no
-// per-op deadline, breaker closed, and no failure streak in progress.
-// In that state a successful first attempt needs no bookkeeping at all,
-// which keeps the happy-path overhead to two atomic loads.
+// per-op deadline (that needs the attempt goroutine), breaker closed,
+// and no failure streak in progress. In that state a successful first
+// attempt needs no bookkeeping at all, which keeps the happy-path
+// overhead to two atomic loads.
 func (r *ResilientStore) fastOK() bool {
-	return !r.slowAlways && r.state.Load() == breakerClosed && r.consecFails.Load() == 0
+	return r.opts.OpTimeout <= 0 && r.state.Load() == breakerClosed && r.consecFails.Load() == 0
 }
 
 // ResilienceCounters implements ResilienceReporter.
@@ -253,186 +253,135 @@ func (r *ResilientStore) backoff(n int) time.Duration {
 	return time.Duration(float64(d) * f)
 }
 
-type opResult struct {
-	v   []byte
-	err error
+// contractOK reports whether err is a contract outcome (success, miss,
+// unsupported merge) rather than a failure: as far as the breaker and
+// the retry budget are concerned, those are successes.
+func contractOK(err error) bool {
+	return err == nil || errors.Is(err, ErrNotFound) || errors.Is(err, ErrMergeUnsupported)
 }
 
-// attempt runs f, bounding it by OpTimeout when configured. On timeout
-// the call is abandoned: its goroutine finishes against the buffered
-// channel and its result is dropped.
-func (r *ResilientStore) attempt(f func() ([]byte, error)) ([]byte, error) {
+// attempt runs f once. Without a per-op deadline it runs on the caller's
+// goroutine and stamps the caller's Ctx. With one, the call is abandoned
+// on timeout — its goroutine finishes against the buffered channel and
+// its result is dropped — so the Ctx must not cross into it: an
+// abandoned attempt stamping a pooled Ctx after Finish would corrupt a
+// reused trace. f then runs untraced and the whole attempt is charged to
+// StageEngine from this side (the inner breakdown is lost under
+// OpTimeout; the stage sum stays intact).
+func (r *ResilientStore) attempt(tc *tracing.Ctx, f func(*tracing.Ctx) (TracedResult, error)) (TracedResult, error) {
 	if r.opts.OpTimeout <= 0 {
-		return f()
+		return f(tc)
 	}
-	ch := make(chan opResult, 1)
+	type outcome struct {
+		res TracedResult
+		err error
+	}
+	t0 := tc.Now()
+	defer tc.AddSince(tracing.StageEngine, t0)
+	ch := make(chan outcome, 1)
 	go func() {
-		v, err := f()
-		ch <- opResult{v, err}
+		res, err := f(nil)
+		ch <- outcome{res, err}
 	}()
 	t := time.NewTimer(r.opts.OpTimeout)
 	defer t.Stop()
 	select {
-	case res := <-ch:
-		return res.v, res.err
+	case out := <-ch:
+		return out.res, out.err
 	case <-t.C:
 		r.timeouts.Add(1)
-		return nil, fmt.Errorf("%w after %v", ErrDeadlineExceeded, r.opts.OpTimeout)
+		return TracedResult{}, fmt.Errorf("%w after %v", ErrDeadlineExceeded, r.opts.OpTimeout)
 	}
 }
 
-// do runs f with the full resilience pipeline for operation type op.
-func (r *ResilientStore) do(op Op, f func() ([]byte, error)) ([]byte, error) {
-	attempts := 1 + r.opts.MaxRetries
-	if attempts < 1 {
-		attempts = 1
+// retry is the resilience pipeline for one operation of type op: every
+// attempt of f is admitted by the breaker, bounded by attempt and
+// reported back to the breaker, and each one after the first waits out
+// a jittered backoff, stamped as StageRetry and counted on a sampled
+// op's Ctx. A caller whose bare fast-path attempt failed with err
+// enters at from = 1; the pipeline records that failure and spends the
+// remaining budget. Otherwise from is 0.
+func (r *ResilientStore) retry(tc *tracing.Ctx, op Op, from int, err error, f func(*tracing.Ctx) (TracedResult, error)) (TracedResult, error) {
+	if from > 0 {
+		r.record(false, false)
 	}
-	var v []byte
-	var err error
-	for i := 0; i < attempts; i++ {
+	for i := from; i < max(1, 1+r.opts.MaxRetries); i++ {
 		if i > 0 {
 			if !RetrySafe(op, err) {
 				break
 			}
 			r.retries.Add(1)
-			time.Sleep(r.backoff(i))
+			tc.Attempt()
+			d := r.backoff(i)
+			tc.Add(tracing.StageRetry, int64(d))
+			time.Sleep(d)
 		}
 		probe, allowErr := r.allow()
 		if allowErr != nil {
 			err = allowErr
 			continue // the cooldown may elapse during the next backoff
 		}
-		v, err = r.attempt(f)
-		// Contract outcomes (miss, unsupported merge) are successes as far
-		// as the breaker and retry budget are concerned.
-		ok := err == nil || errors.Is(err, ErrNotFound) || errors.Is(err, ErrMergeUnsupported)
+		var res TracedResult
+		res, err = r.attempt(tc, f)
+		ok := contractOK(err)
 		r.record(ok, probe)
 		if ok {
-			return v, err
+			return res, err
 		}
 	}
 	r.degraded.Add(1)
-	return nil, err
+	return TracedResult{}, err
 }
 
-// doRetry continues the pipeline after a failed fast-path first attempt:
-// it records that failure with the breaker, then runs the remaining
-// retry budget exactly as do would.
-func (r *ResilientStore) doRetry(op Op, err error, f func() ([]byte, error)) ([]byte, error) {
-	r.record(false, false)
-	attempts := 1 + r.opts.MaxRetries
-	var v []byte
-	for i := 1; i < attempts; i++ {
-		if !RetrySafe(op, err) {
-			break
+// DoTraced implements Traceable and is the body of every operation.
+// While fastOK holds, the first attempt is a bare call into the inner
+// store and a contract outcome returns at once; a failure, or a store
+// that is not in the fast state, goes through retry. A merge is retried
+// only while RetrySafe holds: after an outcome-unknown failure
+// (deadline, lost connection) the error surfaces instead, because
+// replaying the operand could duplicate it. Scans are reads, so their
+// transient failures retry under the OpScan budget.
+func (r *ResilientStore) DoTraced(tc *tracing.Ctx, op TracedOp) (res TracedResult, err error) {
+	from := 0
+	if r.fastOK() {
+		if res, err = DoTraced(r.inner, tc, op); contractOK(err) {
+			return res, err
 		}
-		r.retries.Add(1)
-		time.Sleep(r.backoff(i))
-		probe, allowErr := r.allow()
-		if allowErr != nil {
-			err = allowErr
-			continue
-		}
-		v, err = r.attempt(f)
-		ok := err == nil || errors.Is(err, ErrNotFound) || errors.Is(err, ErrMergeUnsupported)
-		r.record(ok, probe)
-		if ok {
-			return v, err
-		}
+		from = 1
 	}
-	r.degraded.Add(1)
-	return nil, err
+	return r.retry(tc, op.Op, from, err, func(tc *tracing.Ctx) (TracedResult, error) {
+		return DoTraced(r.inner, tc, op)
+	})
 }
 
 // Get implements Store.
 func (r *ResilientStore) Get(key []byte) ([]byte, error) {
-	if r.fastOK() {
-		v, err := r.inner.Get(key)
-		if err == nil || errors.Is(err, ErrNotFound) {
-			return v, err
-		}
-		return r.doRetry(OpGet, err, func() ([]byte, error) { return r.inner.Get(key) })
-	}
-	return r.do(OpGet, func() ([]byte, error) { return r.inner.Get(key) })
+	res, err := r.DoTraced(nil, TracedOp{Op: OpGet, Key: key})
+	return res.Val, err
 }
 
 // Put implements Store.
 func (r *ResilientStore) Put(key, value []byte) error {
-	if r.fastOK() {
-		err := r.inner.Put(key, value)
-		if err == nil {
-			return nil
-		}
-		_, err = r.doRetry(OpPut, err, func() ([]byte, error) { return nil, r.inner.Put(key, value) })
-		return err
-	}
-	_, err := r.do(OpPut, func() ([]byte, error) { return nil, r.inner.Put(key, value) })
+	_, err := r.DoTraced(nil, TracedOp{Op: OpPut, Key: key, Val: value})
 	return err
 }
 
-// Merge implements Store. A merge is retried only while RetrySafe holds:
-// after an outcome-unknown failure (deadline, lost connection) the error
-// surfaces instead, because replaying the operand could duplicate it.
+// Merge implements Store.
 func (r *ResilientStore) Merge(key, operand []byte) error {
-	if r.fastOK() {
-		err := r.inner.Merge(key, operand)
-		if err == nil || errors.Is(err, ErrMergeUnsupported) {
-			return err
-		}
-		_, err = r.doRetry(OpMerge, err, func() ([]byte, error) { return nil, r.inner.Merge(key, operand) })
-		return err
-	}
-	_, err := r.do(OpMerge, func() ([]byte, error) { return nil, r.inner.Merge(key, operand) })
+	_, err := r.DoTraced(nil, TracedOp{Op: OpMerge, Key: key, Val: operand})
 	return err
 }
 
 // Delete implements Store.
 func (r *ResilientStore) Delete(key []byte) error {
-	if r.fastOK() {
-		err := r.inner.Delete(key)
-		if err == nil || errors.Is(err, ErrNotFound) {
-			return err
-		}
-		_, err = r.doRetry(OpDelete, err, func() ([]byte, error) { return nil, r.inner.Delete(key) })
-		return err
-	}
-	_, err := r.do(OpDelete, func() ([]byte, error) { return nil, r.inner.Delete(key) })
+	_, err := r.DoTraced(nil, TracedOp{Op: OpDelete, Key: key})
 	return err
 }
 
-// ScanRange implements RangeScanner with the full pipeline: scans are
-// reads, so transient failures retry safely under the OpScan budget.
-// The result is published under a mutex because a timed-out attempt is
-// abandoned, not cancelled — it may still complete and write late.
+// ScanRange implements RangeScanner.
 func (r *ResilientStore) ScanRange(lo, hi StateKey) ([]Entry, error) {
-	var mu sync.Mutex
-	var out []Entry
-	f := func() ([]byte, error) {
-		ents, err := ScanRange(r.inner, lo, hi)
-		if err == nil {
-			mu.Lock()
-			if out == nil {
-				out = ents
-			}
-			mu.Unlock()
-		}
-		return nil, err
-	}
-	var err error
-	if r.fastOK() {
-		if _, err = f(); err == nil {
-			return out, nil
-		}
-		_, err = r.doRetry(OpScan, err, f)
-	} else {
-		_, err = r.do(OpScan, f)
-	}
-	if err != nil {
-		return nil, err
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	return out, nil
+	res, err := r.DoTraced(nil, TracedOp{Op: OpScan, Lo: lo, Hi: hi})
+	return res.Entries, err
 }
 
 // Snapshot implements Snapshotter, bounding acquisition with the per-op
@@ -445,27 +394,25 @@ func (r *ResilientStore) Snapshot() (snap Snapshot, retErr error) {
 	var mu sync.Mutex
 	var won Snapshot
 	failed := false
-	f := func() ([]byte, error) {
+	f := func(*tracing.Ctx) (TracedResult, error) {
 		sn, err := SnapshotOf(r.inner)
 		if err == nil {
 			mu.Lock()
 			if failed || won != nil {
 				mu.Unlock()
 				sn.Close()
-				return nil, nil
+				return TracedResult{}, nil
 			}
 			won = sn
 			mu.Unlock()
 		}
-		return nil, err
+		return TracedResult{}, err
 	}
 	var err error
-	if r.fastOK() {
-		if _, err = f(); err != nil {
-			_, err = r.doRetry(OpScan, err, f)
-		}
-	} else {
-		_, err = r.do(OpScan, f)
+	if !r.fastOK() {
+		_, err = r.retry(nil, OpScan, 0, nil, f)
+	} else if _, err = f(nil); err != nil {
+		_, err = r.retry(nil, OpScan, 1, err, f)
 	}
 	mu.Lock()
 	defer mu.Unlock()

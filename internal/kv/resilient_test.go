@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"gadget/internal/tracing"
 )
 
 // scriptStore is a Store stub whose behaviour is driven per-call by fail,
@@ -98,203 +100,325 @@ func fastOpts() ResilienceOptions {
 	}
 }
 
-func TestRetryRecoversTransientFailures(t *testing.T) {
-	st := newScriptStore()
-	st.fail = func(call int) error {
-		if call <= 2 {
-			return ErrInjectedFault
-		}
-		return nil
+// opPath is one of the three ways an operation reaches a ResilientStore:
+// the Store methods, DoTraced with a nil Ctx, DoTraced with a sampled
+// Ctx. They share one body, so results and counters must not tell them
+// apart; the sampled one also accumulates what its Ctxs were stamped
+// with.
+type opPath struct {
+	name    string
+	sampled bool
+	t       *testing.T // the subtest running this path
+	do      func(p *opPath, r *ResilientStore, op TracedOp) (TracedResult, error)
+
+	retryNs, engineNs int64
+	attempts          uint64
+}
+
+func (p *opPath) Get(r *ResilientStore, key string) ([]byte, error) {
+	res, err := p.do(p, r, TracedOp{Op: OpGet, Key: []byte(key)})
+	return res.Val, err
+}
+
+func (p *opPath) Put(r *ResilientStore, key string, val []byte) error {
+	_, err := p.do(p, r, TracedOp{Op: OpPut, Key: []byte(key), Val: val})
+	return err
+}
+
+func (p *opPath) Merge(r *ResilientStore, key, operand string) error {
+	_, err := p.do(p, r, TracedOp{Op: OpMerge, Key: []byte(key), Val: []byte(operand)})
+	return err
+}
+
+// forEachPath runs body once per opPath, each time against stores of its
+// own, and requires the ResilienceCounters body returns to be the same
+// on all three. On the sampled path every retry must have been counted
+// on a Ctx and its backoff stamped as StageRetry.
+func forEachPath(t *testing.T, body func(t *testing.T, p *opPath) ResilienceCounters) {
+	tracer := tracing.New(tracing.Options{SampleN: 1})
+	paths := []*opPath{
+		{name: "store-methods", do: func(_ *opPath, r *ResilientStore, op TracedOp) (TracedResult, error) {
+			switch op.Op {
+			case OpGet:
+				v, err := r.Get(op.Key)
+				return TracedResult{Val: v}, err
+			case OpPut:
+				return TracedResult{}, r.Put(op.Key, op.Val)
+			default:
+				return TracedResult{}, r.Merge(op.Key, op.Val)
+			}
+		}},
+		{name: "DoTraced-nil", do: func(_ *opPath, r *ResilientStore, op TracedOp) (TracedResult, error) {
+			return r.DoTraced(nil, op)
+		}},
+		{name: "DoTraced-sampled", sampled: true, do: func(p *opPath, r *ResilientStore, op TracedOp) (TracedResult, error) {
+			tc := tracer.Start(uint8(op.Op))
+			if tc == nil {
+				p.t.Fatal("SampleN 1 did not sample")
+			}
+			res, err := r.DoTraced(tc, op)
+			p.retryNs += tc.Dur(tracing.StageRetry)
+			p.engineNs += tc.Dur(tracing.StageEngine)
+			p.attempts += uint64(tc.Attempts)
+			tracer.Finish(tc)
+			return res, err
+		}},
 	}
-	r, err := NewResilientStore(st, fastOpts())
+	var first ResilienceCounters
+	for i, p := range paths {
+		t.Run(p.name, func(t *testing.T) {
+			p.t = t
+			c := body(t, p)
+			if i == 0 {
+				first = c
+			} else if c != first {
+				t.Fatalf("counters %+v differ from the Store-method path's %+v", c, first)
+			}
+			if !p.sampled {
+				return
+			}
+			if p.attempts != c.Retries {
+				t.Fatalf("Ctx attempts = %d, want the %d retries counted", p.attempts, c.Retries)
+			}
+			if (p.retryNs > 0) != (c.Retries > 0) {
+				t.Fatalf("StageRetry = %dns with %d retries", p.retryNs, c.Retries)
+			}
+		})
+	}
+	if started, finished := tracer.Stats(); started != finished {
+		t.Fatalf("trace leak: started=%d finished=%d", started, finished)
+	}
+}
+
+func newResilient(t *testing.T, st Store, opts ResilienceOptions) *ResilientStore {
+	t.Helper()
+	r, err := NewResilientStore(st, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Put([]byte("k"), []byte("v")); err != nil {
-		t.Fatalf("Put should recover: %v", err)
-	}
-	if v, err := r.Get([]byte("k")); err != nil || string(v) != "v" {
-		t.Fatalf("Get = %q, %v", v, err)
-	}
-	c := r.ResilienceCounters()
-	if c.Retries != 2 {
-		t.Fatalf("Retries = %d, want 2", c.Retries)
-	}
-	if c.Degraded != 0 {
-		t.Fatalf("Degraded = %d, want 0", c.Degraded)
-	}
+	return r
+}
+
+func TestRetryRecoversTransientFailures(t *testing.T) {
+	forEachPath(t, func(t *testing.T, p *opPath) ResilienceCounters {
+		st := newScriptStore()
+		st.fail = func(call int) error {
+			if call <= 2 {
+				return ErrInjectedFault
+			}
+			return nil
+		}
+		r := newResilient(t, st, fastOpts())
+		if err := p.Put(r, "k", []byte("v")); err != nil {
+			t.Fatalf("Put should recover: %v", err)
+		}
+		if v, err := p.Get(r, "k"); err != nil || string(v) != "v" {
+			t.Fatalf("Get = %q, %v", v, err)
+		}
+		c := r.ResilienceCounters()
+		if c.Retries != 2 {
+			t.Fatalf("Retries = %d, want 2", c.Retries)
+		}
+		if c.Degraded != 0 {
+			t.Fatalf("Degraded = %d, want 0", c.Degraded)
+		}
+		return c
+	})
 }
 
 func TestNoRetryOnFatalError(t *testing.T) {
-	st := newScriptStore()
-	boom := errors.New("disk on fire")
-	st.fail = func(int) error { return boom }
-	r, err := NewResilientStore(st, fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Put([]byte("k"), []byte("v")); !errors.Is(err, boom) {
-		t.Fatalf("Put = %v, want %v", err, boom)
-	}
-	if n := st.callCount(); n != 1 {
-		t.Fatalf("fatal error retried: %d calls", n)
-	}
-	if c := r.ResilienceCounters(); c.Degraded != 1 || c.Retries != 0 {
-		t.Fatalf("counters = %+v", c)
-	}
+	forEachPath(t, func(t *testing.T, p *opPath) ResilienceCounters {
+		st := newScriptStore()
+		boom := errors.New("disk on fire")
+		st.fail = func(int) error { return boom }
+		r := newResilient(t, st, fastOpts())
+		if err := p.Put(r, "k", []byte("v")); !errors.Is(err, boom) {
+			t.Fatalf("Put = %v, want %v", err, boom)
+		}
+		if n := st.callCount(); n != 1 {
+			t.Fatalf("fatal error retried: %d calls", n)
+		}
+		c := r.ResilienceCounters()
+		if c.Degraded != 1 || c.Retries != 0 {
+			t.Fatalf("counters = %+v", c)
+		}
+		return c
+	})
 }
 
 func TestRetryBudgetExhaustion(t *testing.T) {
-	st := newScriptStore()
-	st.fail = func(int) error { return ErrInjectedFault }
-	opts := fastOpts()
-	opts.BreakerThreshold = -1
-	r, err := NewResilientStore(st, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Put([]byte("k"), nil); !errors.Is(err, ErrInjectedFault) {
-		t.Fatalf("Put = %v", err)
-	}
-	if n := st.callCount(); n != 5 { // 1 + MaxRetries
-		t.Fatalf("calls = %d, want 5", n)
-	}
-	if c := r.ResilienceCounters(); c.Retries != 4 || c.Degraded != 1 {
-		t.Fatalf("counters = %+v", c)
-	}
+	forEachPath(t, func(t *testing.T, p *opPath) ResilienceCounters {
+		st := newScriptStore()
+		st.fail = func(int) error { return ErrInjectedFault }
+		opts := fastOpts()
+		opts.BreakerThreshold = -1
+		r := newResilient(t, st, opts)
+		if err := p.Put(r, "k", nil); !errors.Is(err, ErrInjectedFault) {
+			t.Fatalf("Put = %v", err)
+		}
+		if n := st.callCount(); n != 5 { // 1 + MaxRetries
+			t.Fatalf("calls = %d, want 5", n)
+		}
+		c := r.ResilienceCounters()
+		if c.Retries != 4 || c.Degraded != 1 {
+			t.Fatalf("counters = %+v", c)
+		}
+		return c
+	})
 }
 
 func TestMergeNotRetriedAfterUnknownOutcome(t *testing.T) {
-	st := newScriptStore()
-	st.fail = func(call int) error {
-		if call == 1 {
-			// Transient but the op may have applied (e.g. ack lost).
-			return UnknownOutcomeError(TransientError(errors.New("conn reset")))
+	forEachPath(t, func(t *testing.T, p *opPath) ResilienceCounters {
+		st := newScriptStore()
+		st.fail = func(call int) error {
+			if call == 1 {
+				// Transient but the op may have applied (e.g. ack lost).
+				return UnknownOutcomeError(TransientError(errors.New("conn reset")))
+			}
+			return nil
 		}
-		return nil
-	}
-	r, err := NewResilientStore(st, fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Merge([]byte("k"), []byte("x")); err == nil {
-		t.Fatal("merge after unknown-outcome failure must surface the error")
-	}
-	if n := st.callCount(); n != 1 {
-		t.Fatalf("merge retried despite unknown outcome: %d calls", n)
-	}
-	// The same failure on an idempotent op is retried.
-	st.mu.Lock()
-	st.calls = 0
-	st.mu.Unlock()
-	if err := r.Put([]byte("k"), []byte("v")); err != nil {
-		t.Fatalf("idempotent Put should retry: %v", err)
-	}
-	if n := st.callCount(); n != 2 {
-		t.Fatalf("Put calls = %d, want 2", n)
-	}
+		r := newResilient(t, st, fastOpts())
+		if err := p.Merge(r, "k", "x"); err == nil {
+			t.Fatal("merge after unknown-outcome failure must surface the error")
+		}
+		if n := st.callCount(); n != 1 {
+			t.Fatalf("merge retried despite unknown outcome: %d calls", n)
+		}
+		// The same failure on an idempotent op is retried.
+		st.mu.Lock()
+		st.calls = 0
+		st.mu.Unlock()
+		if err := p.Put(r, "k", []byte("v")); err != nil {
+			t.Fatalf("idempotent Put should retry: %v", err)
+		}
+		if n := st.callCount(); n != 2 {
+			t.Fatalf("Put calls = %d, want 2", n)
+		}
+		return r.ResilienceCounters()
+	})
 }
 
 func TestMergeRetriedAfterFailBeforeApply(t *testing.T) {
-	st := newScriptStore()
-	st.fail = func(call int) error {
-		if call == 1 {
-			return ErrInjectedFault // chaos contract: not applied
+	forEachPath(t, func(t *testing.T, p *opPath) ResilienceCounters {
+		st := newScriptStore()
+		st.fail = func(call int) error {
+			if call == 1 {
+				return ErrInjectedFault // chaos contract: not applied
+			}
+			return nil
 		}
-		return nil
-	}
-	r, err := NewResilientStore(st, fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Merge([]byte("k"), []byte("ab")); err != nil {
-		t.Fatalf("Merge = %v", err)
-	}
-	if v, _ := r.Get([]byte("k")); string(v) != "ab" {
-		t.Fatalf("retried merge duplicated or dropped: %q", v)
-	}
+		r := newResilient(t, st, fastOpts())
+		if err := p.Merge(r, "k", "ab"); err != nil {
+			t.Fatalf("Merge = %v", err)
+		}
+		if v, _ := p.Get(r, "k"); string(v) != "ab" {
+			t.Fatalf("retried merge duplicated or dropped: %q", v)
+		}
+		return r.ResilienceCounters()
+	})
 }
 
+// TestDeadlineExceeded abandons an attempt that is still running. On the
+// sampled path the Ctx has gone back to its pool by the time the
+// abandoned attempt completes, so that attempt must never have been
+// handed it (the race detector sees it if it was) and the time it was
+// waited for is charged to StageEngine from the caller's side.
 func TestDeadlineExceeded(t *testing.T) {
-	st := newScriptStore()
-	st.delay = 50 * time.Millisecond
-	opts := fastOpts()
-	opts.OpTimeout = 2 * time.Millisecond
-	opts.MaxRetries = -1
-	r, err := NewResilientStore(st, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = r.Put([]byte("k"), []byte("v"))
-	if !errors.Is(err, ErrDeadlineExceeded) {
-		t.Fatalf("Put = %v, want deadline", err)
-	}
-	if !Transient(err) || !OutcomeUnknown(err) {
-		t.Fatalf("deadline error misclassified: transient=%v unknown=%v", Transient(err), OutcomeUnknown(err))
-	}
-	if c := r.ResilienceCounters(); c.Timeouts != 1 {
-		t.Fatalf("Timeouts = %d, want 1", c.Timeouts)
-	}
+	forEachPath(t, func(t *testing.T, p *opPath) ResilienceCounters {
+		st := newScriptStore()
+		st.delay = 50 * time.Millisecond
+		opts := fastOpts()
+		opts.OpTimeout = 2 * time.Millisecond
+		opts.MaxRetries = -1
+		r := newResilient(t, st, opts)
+		err := p.Put(r, "k", []byte("v"))
+		if !errors.Is(err, ErrDeadlineExceeded) {
+			t.Fatalf("Put = %v, want deadline", err)
+		}
+		if !Transient(err) || !OutcomeUnknown(err) {
+			t.Fatalf("deadline error misclassified: transient=%v unknown=%v", Transient(err), OutcomeUnknown(err))
+		}
+		c := r.ResilienceCounters()
+		if c.Timeouts != 1 {
+			t.Fatalf("Timeouts = %d, want 1", c.Timeouts)
+		}
+		if p.sampled && p.engineNs < int64(opts.OpTimeout) {
+			t.Fatalf("StageEngine = %dns, want at least the %v the attempt was waited for", p.engineNs, opts.OpTimeout)
+		}
+		// Let the abandoned attempt run to its end: it applies the Put.
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			st.mu.Lock()
+			_, applied := st.m["k"]
+			st.mu.Unlock()
+			if applied {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("abandoned attempt never completed")
+			}
+		}
+		return c
+	})
 }
 
 func TestBreakerTripsAndRecovers(t *testing.T) {
-	st := newScriptStore()
-	var failing = true
-	st.fail = func(int) error {
+	forEachPath(t, func(t *testing.T, p *opPath) ResilienceCounters {
+		st := newScriptStore()
+		var failing = true
+		st.fail = func(int) error {
+			st.mu.Lock()
+			defer st.mu.Unlock()
+			if failing {
+				return ErrInjectedFault
+			}
+			return nil
+		}
+		opts := fastOpts()
+		opts.MaxRetries = -1 // isolate the breaker from retry effects
+		opts.BreakerThreshold = 3
+		opts.BreakerCooldown = 2 * time.Millisecond
+		r := newResilient(t, st, opts)
+		// Trip the breaker.
+		for i := 0; i < 3; i++ {
+			if err := p.Put(r, "k", nil); !errors.Is(err, ErrInjectedFault) {
+				t.Fatalf("op %d = %v", i, err)
+			}
+		}
+		if c := r.ResilienceCounters(); c.BreakerTrips != 1 {
+			t.Fatalf("BreakerTrips = %d, want 1", c.BreakerTrips)
+		}
+		// While open (within cooldown) ops fail fast without reaching the store.
+		before := st.callCount()
+		if err := p.Put(r, "k", nil); !errors.Is(err, ErrBreakerOpen) {
+			t.Fatalf("open breaker = %v, want ErrBreakerOpen", err)
+		}
+		if st.callCount() != before {
+			t.Fatal("fast-fail reached the store")
+		}
+		if c := r.ResilienceCounters(); c.FastFails == 0 {
+			t.Fatal("FastFails not counted")
+		}
+		// A failing half-open probe re-opens.
+		time.Sleep(3 * time.Millisecond)
+		if err := p.Put(r, "k", nil); !errors.Is(err, ErrInjectedFault) {
+			t.Fatalf("probe = %v", err)
+		}
+		if c := r.ResilienceCounters(); c.BreakerTrips != 2 {
+			t.Fatalf("BreakerTrips after failed probe = %d, want 2", c.BreakerTrips)
+		}
+		// Recovery: store heals, cooldown elapses, probe closes the breaker.
 		st.mu.Lock()
-		defer st.mu.Unlock()
-		if failing {
-			return ErrInjectedFault
+		failing = false
+		st.mu.Unlock()
+		time.Sleep(3 * time.Millisecond)
+		if err := p.Put(r, "k", []byte("v")); err != nil {
+			t.Fatalf("probe after recovery = %v", err)
 		}
-		return nil
-	}
-	opts := fastOpts()
-	opts.MaxRetries = -1 // isolate the breaker from retry effects
-	opts.BreakerThreshold = 3
-	opts.BreakerCooldown = 2 * time.Millisecond
-	r, err := NewResilientStore(st, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Trip the breaker.
-	for i := 0; i < 3; i++ {
-		if err := r.Put([]byte("k"), nil); !errors.Is(err, ErrInjectedFault) {
-			t.Fatalf("op %d = %v", i, err)
+		if err := p.Put(r, "k2", []byte("v")); err != nil {
+			t.Fatalf("post-recovery op = %v", err)
 		}
-	}
-	if c := r.ResilienceCounters(); c.BreakerTrips != 1 {
-		t.Fatalf("BreakerTrips = %d, want 1", c.BreakerTrips)
-	}
-	// While open (within cooldown) ops fail fast without reaching the store.
-	before := st.callCount()
-	if err := r.Put([]byte("k"), nil); !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("open breaker = %v, want ErrBreakerOpen", err)
-	}
-	if st.callCount() != before {
-		t.Fatal("fast-fail reached the store")
-	}
-	if c := r.ResilienceCounters(); c.FastFails == 0 {
-		t.Fatal("FastFails not counted")
-	}
-	// A failing half-open probe re-opens.
-	time.Sleep(3 * time.Millisecond)
-	if err := r.Put([]byte("k"), nil); !errors.Is(err, ErrInjectedFault) {
-		t.Fatalf("probe = %v", err)
-	}
-	if c := r.ResilienceCounters(); c.BreakerTrips != 2 {
-		t.Fatalf("BreakerTrips after failed probe = %d, want 2", c.BreakerTrips)
-	}
-	// Recovery: store heals, cooldown elapses, probe closes the breaker.
-	st.mu.Lock()
-	failing = false
-	st.mu.Unlock()
-	time.Sleep(3 * time.Millisecond)
-	if err := r.Put([]byte("k"), []byte("v")); err != nil {
-		t.Fatalf("probe after recovery = %v", err)
-	}
-	if err := r.Put([]byte("k2"), []byte("v")); err != nil {
-		t.Fatalf("post-recovery op = %v", err)
-	}
+		return r.ResilienceCounters()
+	})
 }
 
 func TestChaosDeterminism(t *testing.T) {
@@ -401,19 +525,19 @@ func TestRetrySafeTable(t *testing.T) {
 }
 
 func TestNotFoundIsNotAFailure(t *testing.T) {
-	st := newScriptStore()
-	r, err := NewResilientStore(st, fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Get([]byte("absent")); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Get = %v", err)
-	}
-	if n := st.callCount(); n != 1 {
-		t.Fatalf("miss retried: %d calls", n)
-	}
-	c := r.ResilienceCounters()
-	if c.Retries != 0 || c.Degraded != 0 {
-		t.Fatalf("miss counted as failure: %+v", c)
-	}
+	forEachPath(t, func(t *testing.T, p *opPath) ResilienceCounters {
+		st := newScriptStore()
+		r := newResilient(t, st, fastOpts())
+		if _, err := p.Get(r, "absent"); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("Get = %v", err)
+		}
+		if n := st.callCount(); n != 1 {
+			t.Fatalf("miss retried: %d calls", n)
+		}
+		c := r.ResilienceCounters()
+		if c.Retries != 0 || c.Degraded != 0 {
+			t.Fatalf("miss counted as failure: %+v", c)
+		}
+		return c
+	})
 }

@@ -1,17 +1,14 @@
 package kv
 
 import (
-	"errors"
 	"fmt"
-	"sync"
-	"time"
 
 	"gadget/internal/tracing"
 )
 
-// TracedOp describes one operation dispatched down the traced path: a
-// uniform envelope so a single optional interface method covers the
-// whole Store vocabulary.
+// TracedOp describes one operation: a uniform envelope so a single
+// method covers the whole Store vocabulary. Fields an operation does not
+// use are ignored.
 type TracedOp struct {
 	// Op selects the operation.
 	Op Op
@@ -23,201 +20,59 @@ type TracedOp struct {
 	Lo, Hi StateKey
 }
 
-// TracedResult carries the result of a traced operation: Val for point
-// reads, Entries for scans.
+// TracedResult carries the result of an operation: Val for point reads,
+// Entries for scans.
 type TracedResult struct {
 	Val     []byte
 	Entries []Entry
 }
 
-// Traceable is the optional traced fast path: stores (engines,
-// middleware, remote clients) that can attribute internal phases to a
-// tracing.Ctx implement it. DoTraced is called with a non-nil Ctx and
-// must behave exactly like the corresponding plain Store call, plus
-// stamping the stages the layer adds. Implementations that wrap an
-// inner store delegate with DoTraced(inner, tc, op) so attribution
-// composes through middleware stacks.
+// Traceable is the single op entry point of a store that can attribute
+// its internal phases to a tracing.Ctx: engines, middleware, remote
+// clients. tc may be nil — every Ctx method is a no-op on nil (Now reads
+// no clock, Add adds nothing) — so one DoTraced body serves sampled and
+// unsampled operations alike, and a wrapper's Get/Put/Merge/Delete/
+// ScanRange are sugar over DoTraced(nil, op). Whatever tc is, DoTraced
+// behaves exactly like the corresponding Store call; with a Ctx it also
+// stamps the stages the layer adds. Implementations that wrap an inner
+// store descend with DoTraced(inner, tc, op) so attribution composes
+// through middleware stacks.
 type Traceable interface {
 	DoTraced(tc *tracing.Ctx, op TracedOp) (TracedResult, error)
 }
 
-// DoTraced dispatches op against s. With a nil Ctx it runs the plain
-// Store call (zero tracing cost). With a non-nil Ctx it takes s's
-// Traceable path when implemented; otherwise it times the plain call
-// and attributes the whole inner duration to StageEngine, so opaque
-// leaves (memstore, the v2 client, ...) still account in the stage sum.
-func DoTraced(s Store, tc *tracing.Ctx, op TracedOp) (TracedResult, error) {
-	if tc == nil {
-		return applyPlain(s, op)
-	}
-	if t, ok := s.(Traceable); ok {
-		return t.DoTraced(tc, op)
+// DoTraced dispatches op against s: the one way an operation enters a
+// store, sampled or not. A sampled op takes s's Traceable path when
+// implemented. Otherwise — an unsampled op, or an opaque leaf (memstore,
+// the v2 client, ...) — it is the plain Store call bracketed by the
+// Ctx: with one, the whole inner duration goes to StageEngine, so the
+// leaf still accounts in the stage sum; with none, the bracket is two
+// inlined nil checks, so an unsampled op pays no interface assertion,
+// clock read or allocation. It is one body filling its result in place,
+// not a call to a helper returning one: TracedOp and TracedResult are
+// wider than Go passes in registers, and each frame that hands them on
+// costs an unsampled op about 10 ns.
+func DoTraced(s Store, tc *tracing.Ctx, op TracedOp) (res TracedResult, err error) {
+	if tc != nil {
+		if t, ok := s.(Traceable); ok {
+			return t.DoTraced(tc, op)
+		}
 	}
 	t0 := tc.Now()
-	res, err := applyPlain(s, op)
-	tc.AddSince(tracing.StageEngine, t0)
-	return res, err
-}
-
-// applyPlain runs op through the plain Store interface.
-func applyPlain(s Store, op TracedOp) (TracedResult, error) {
 	switch op.Op {
 	case OpGet, OpFGet:
-		v, err := s.Get(op.Key)
-		return TracedResult{Val: v}, err
+		res.Val, err = s.Get(op.Key)
 	case OpPut:
-		return TracedResult{}, s.Put(op.Key, op.Val)
+		err = s.Put(op.Key, op.Val)
 	case OpMerge:
-		return TracedResult{}, s.Merge(op.Key, op.Val)
+		err = s.Merge(op.Key, op.Val)
 	case OpDelete:
-		return TracedResult{}, s.Delete(op.Key)
+		err = s.Delete(op.Key)
 	case OpScan:
-		ents, err := ScanRange(s, op.Lo, op.Hi)
-		return TracedResult{Entries: ents}, err
+		res.Entries, err = ScanRange(s, op.Lo, op.Hi)
 	default:
-		return TracedResult{}, fmt.Errorf("kv: traced dispatch: unsupported op %v", op.Op)
+		err = fmt.Errorf("kv: dispatch: unsupported op %v", op.Op)
 	}
-}
-
-// contractOK reports whether err is a contract outcome (success, miss,
-// unsupported merge) rather than a failure, matching the retry/breaker
-// accounting of the plain resilient path.
-func contractOK(err error) bool {
-	return err == nil || errors.Is(err, ErrNotFound) || errors.Is(err, ErrMergeUnsupported)
-}
-
-// DoTraced implements Traceable for the chaos wrapper: the injected
-// delay is stamped as StageChaos, then the op descends to the inner
-// store's traced path. Injected errors fail before the inner call,
-// exactly like the plain path.
-func (s *ChaosStore) DoTraced(tc *tracing.Ctx, op TracedOp) (TracedResult, error) {
-	delay, err := s.before()
-	if err != nil {
-		return TracedResult{}, err
-	}
-	if delay > 0 {
-		tc.Add(tracing.StageChaos, int64(delay))
-		time.Sleep(delay)
-	}
-	return DoTraced(s.inner, tc, op)
-}
-
-var _ Traceable = (*ChaosStore)(nil)
-
-// DoTraced implements Traceable for the resilient wrapper, mirroring
-// the plain fast-path/pipeline split: backoff sleeps are stamped as
-// StageRetry and each retry bumps the Ctx attempt counter.
-func (r *ResilientStore) DoTraced(tc *tracing.Ctx, op TracedOp) (TracedResult, error) {
-	if r.fastOK() {
-		res, err := DoTraced(r.inner, tc, op)
-		if contractOK(err) {
-			return res, err
-		}
-		return r.doTracedFrom(tc, op, err, 1)
-	}
-	return r.doTraced(tc, op)
-}
-
-var _ Traceable = (*ResilientStore)(nil)
-
-// doTraced runs the full traced resilience pipeline (the traced twin of
-// do).
-func (r *ResilientStore) doTraced(tc *tracing.Ctx, op TracedOp) (TracedResult, error) {
-	attempts := 1 + r.opts.MaxRetries
-	if attempts < 1 {
-		attempts = 1
-	}
-	var res TracedResult
-	var err error
-	for i := 0; i < attempts; i++ {
-		if i > 0 {
-			if !RetrySafe(op.Op, err) {
-				break
-			}
-			r.retries.Add(1)
-			tc.Attempt()
-			d := r.backoff(i)
-			tc.Add(tracing.StageRetry, int64(d))
-			time.Sleep(d)
-		}
-		probe, allowErr := r.allow()
-		if allowErr != nil {
-			err = allowErr
-			continue
-		}
-		res, err = r.tracedAttempt(tc, op)
-		ok := contractOK(err)
-		r.record(ok, probe)
-		if ok {
-			return res, err
-		}
-	}
-	r.degraded.Add(1)
-	return TracedResult{}, err
-}
-
-// doTracedFrom continues the traced pipeline after a failed fast-path
-// first attempt (the traced twin of doRetry). from is the index of the
-// next attempt.
-func (r *ResilientStore) doTracedFrom(tc *tracing.Ctx, op TracedOp, err error, from int) (TracedResult, error) {
-	r.record(false, false)
-	attempts := 1 + r.opts.MaxRetries
-	var res TracedResult
-	for i := from; i < attempts; i++ {
-		if !RetrySafe(op.Op, err) {
-			break
-		}
-		r.retries.Add(1)
-		tc.Attempt()
-		d := r.backoff(i)
-		tc.Add(tracing.StageRetry, int64(d))
-		time.Sleep(d)
-		probe, allowErr := r.allow()
-		if allowErr != nil {
-			err = allowErr
-			continue
-		}
-		res, err = r.tracedAttempt(tc, op)
-		ok := contractOK(err)
-		r.record(ok, probe)
-		if ok {
-			return res, err
-		}
-	}
-	r.degraded.Add(1)
-	return TracedResult{}, err
-}
-
-// tracedAttempt runs one attempt. Without a per-op deadline the inner
-// traced path runs in the caller's goroutine. With one, the attempt may
-// be abandoned mid-flight, so the Ctx must not cross into the attempt
-// goroutine — an abandoned attempt stamping a pooled Ctx after Finish
-// would corrupt a reused trace. Instead the whole attempt is timed from
-// the parent and charged to StageEngine (the inner breakdown is lost
-// under OpTimeout; the stage sum stays intact).
-func (r *ResilientStore) tracedAttempt(tc *tracing.Ctx, op TracedOp) (TracedResult, error) {
-	if r.opts.OpTimeout <= 0 {
-		return DoTraced(r.inner, tc, op)
-	}
-	var mu sync.Mutex
-	var res TracedResult
-	t0 := tc.Now()
-	_, err := r.attempt(func() ([]byte, error) {
-		inner, err := DoTraced(r.inner, nil, op)
-		if err == nil {
-			mu.Lock()
-			if res.Val == nil && res.Entries == nil {
-				res = inner
-			}
-			mu.Unlock()
-		}
-		return nil, err
-	})
-	tc.AddSince(tracing.StageEngine, t0)
-	if err != nil {
-		return TracedResult{}, err
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	return res, nil
+	tc.Add(tracing.StageEngine, tc.Now()-t0)
+	return res, err
 }

@@ -132,6 +132,7 @@ type PipelinedClient struct {
 }
 
 var _ kv.Store = (*PipelinedClient)(nil)
+var _ kv.Traceable = (*PipelinedClient)(nil)
 
 // DialPipeline connects a protocol-v3 pipelined client. The initial
 // connection is established eagerly (sharing the redial budget) so
@@ -577,10 +578,7 @@ func (c *PipelinedClient) roundTrip(tc *tracing.Ctx, op byte, key, val []byte) (
 	if reqHdrLen+len(key)+len(val) > maxFrame {
 		return nil, statusError, ErrFrameTooLarge
 	}
-	var enq int64
-	if tc != nil {
-		enq = tc.Now()
-	}
+	enq := tc.Now()
 	select {
 	case c.slots <- struct{}{}:
 	case <-c.closeCh:
@@ -624,77 +622,65 @@ func (c *PipelinedClient) Metrics() map[string]int64 {
 	}
 }
 
-// Get implements kv.Store.
-func (c *PipelinedClient) Get(key []byte) ([]byte, error) { return c.get(nil, key) }
-
-func (c *PipelinedClient) get(tc *tracing.Ctx, key []byte) ([]byte, error) {
-	out, status, err := c.roundTrip(tc, opGet, key, nil)
+// DoTraced implements kv.Traceable and is the body of every operation:
+// the op rides the pipeline in its wire form and the response's status
+// maps back to the Store contract. A non-nil tc collects the queue, wire
+// and server stages (server stamps require the connection to have
+// negotiated Traced).
+func (c *PipelinedClient) DoTraced(tc *tracing.Ctx, op kv.TracedOp) (kv.TracedResult, error) {
+	code, key, val, err := encodeOp(op)
 	if err != nil {
-		return nil, err
+		return kv.TracedResult{}, err
 	}
-	switch status {
-	case statusOK:
-		return out, nil
-	case statusNotFound:
-		return nil, kv.ErrNotFound
-	default:
-		return nil, remoteError(status, out)
+	out, status, err := c.roundTrip(tc, code, key, val)
+	if err != nil {
+		return kv.TracedResult{}, err
 	}
+	switch {
+	case status == statusNotFound && code == opGet:
+		return kv.TracedResult{}, kv.ErrNotFound
+	case status != statusOK:
+		return kv.TracedResult{}, remoteError(status, out)
+	case code == opGet:
+		return kv.TracedResult{Val: out}, nil
+	case code == opScan:
+		c.scans.Add(1)
+		ents, err := decodeEntries(out)
+		return kv.TracedResult{Entries: ents}, err
+	}
+	return kv.TracedResult{}, nil
+}
+
+// Get implements kv.Store.
+func (c *PipelinedClient) Get(key []byte) ([]byte, error) {
+	res, err := c.DoTraced(nil, kv.TracedOp{Op: kv.OpGet, Key: key})
+	return res.Val, err
 }
 
 // Put implements kv.Store.
-func (c *PipelinedClient) Put(key, value []byte) error { return c.write(nil, opPut, key, value) }
+func (c *PipelinedClient) Put(key, value []byte) error {
+	_, err := c.DoTraced(nil, kv.TracedOp{Op: kv.OpPut, Key: key, Val: value})
+	return err
+}
 
 // Merge implements kv.Store.
 func (c *PipelinedClient) Merge(key, operand []byte) error {
-	return c.write(nil, opMerge, key, operand)
+	_, err := c.DoTraced(nil, kv.TracedOp{Op: kv.OpMerge, Key: key, Val: operand})
+	return err
 }
 
 // Delete implements kv.Store.
-func (c *PipelinedClient) Delete(key []byte) error { return c.write(nil, opDelete, key, nil) }
+func (c *PipelinedClient) Delete(key []byte) error {
+	_, err := c.DoTraced(nil, kv.TracedOp{Op: kv.OpDelete, Key: key})
+	return err
+}
 
 // ScanRange implements kv.RangeScanner with a single server-side scan
 // frame, like Client.ScanRange.
 func (c *PipelinedClient) ScanRange(lo, hi kv.StateKey) ([]kv.Entry, error) {
-	return c.scanRange(nil, lo, hi)
+	res, err := c.DoTraced(nil, kv.TracedOp{Op: kv.OpScan, Lo: lo, Hi: hi})
+	return res.Entries, err
 }
-
-func (c *PipelinedClient) scanRange(tc *tracing.Ctx, lo, hi kv.StateKey) ([]kv.Entry, error) {
-	bounds := hi.Encode(lo.Encode(make([]byte, 0, 2*kv.KeyLen)))
-	out, status, err := c.roundTrip(tc, opScan, bounds, nil)
-	if err != nil {
-		return nil, err
-	}
-	if status != statusOK {
-		return nil, remoteError(status, out)
-	}
-	c.scans.Add(1)
-	return decodeEntries(out)
-}
-
-// DoTraced implements kv.Traceable: the op rides the pipeline exactly
-// like its plain twin, with queue/wire/server stages attributed to tc
-// (server stamps require the connection to have negotiated Traced).
-func (c *PipelinedClient) DoTraced(tc *tracing.Ctx, op kv.TracedOp) (kv.TracedResult, error) {
-	switch op.Op {
-	case kv.OpGet, kv.OpFGet:
-		v, err := c.get(tc, op.Key)
-		return kv.TracedResult{Val: v}, err
-	case kv.OpPut:
-		return kv.TracedResult{}, c.write(tc, opPut, op.Key, op.Val)
-	case kv.OpMerge:
-		return kv.TracedResult{}, c.write(tc, opMerge, op.Key, op.Val)
-	case kv.OpDelete:
-		return kv.TracedResult{}, c.write(tc, opDelete, op.Key, nil)
-	case kv.OpScan:
-		ents, err := c.scanRange(tc, op.Lo, op.Hi)
-		return kv.TracedResult{Entries: ents}, err
-	default:
-		return kv.TracedResult{}, fmt.Errorf("remote: traced dispatch: unsupported op %v", op.Op)
-	}
-}
-
-var _ kv.Traceable = (*PipelinedClient)(nil)
 
 // Snapshot implements kv.Snapshotter via the stop-the-world fallback,
 // like Client.Snapshot.
@@ -707,17 +693,6 @@ func (c *PipelinedClient) Snapshot() (kv.Snapshot, error) {
 	snap.CountIterOps(&c.iterOps)
 	c.snapshots.Add(1)
 	return snap, nil
-}
-
-func (c *PipelinedClient) write(tc *tracing.Ctx, op byte, key, val []byte) error {
-	out, status, err := c.roundTrip(tc, op, key, val)
-	if err != nil {
-		return err
-	}
-	if status != statusOK {
-		return remoteError(status, out)
-	}
-	return nil
 }
 
 // Close shuts the pipeline down: pending operations fail with

@@ -458,26 +458,49 @@ func TestPipelineServerPanicRecovery(t *testing.T) {
 	}
 }
 
+// BenchmarkPipelinedRoundTrip is one 256-byte Get per iteration against
+// a loopback memstore server. parallel shares a default-depth client
+// between GOMAXPROCS callers, the shape the pipeline is built for.
+// serial is one synchronous caller at Depth 1 — what would stand in for
+// the v2 Client — so its distance from BenchmarkRemoteRoundTrip is the
+// lone-caller price of v3's writer and reader goroutines, the number
+// that gates v2's removal.
 func BenchmarkPipelinedRoundTrip(b *testing.B) {
-	backing := memstore.New()
-	srv, err := Serve(backing, "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
+	for _, mode := range []struct {
+		name string
+		opts PipelineOptions
+	}{
+		{"parallel", PipelineOptions{}},
+		{"serial", PipelineOptions{Depth: 1}},
+	} {
+		b.Run(mode.name, func(b *testing.B) {
+			backing := memstore.New()
+			srv, err := Serve(backing, "127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer func() { srv.Close(); backing.Close() }()
+			cli, err := DialPipeline(srv.Addr(), mode.opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer cli.Close()
+			key := []byte("bench-key")
+			val := make([]byte, 256)
+			cli.Put(key, val)
+			b.ResetTimer()
+			b.ReportAllocs()
+			if mode.name == "serial" {
+				for i := 0; i < b.N; i++ {
+					cli.Get(key)
+				}
+				return
+			}
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					cli.Get(key)
+				}
+			})
+		})
 	}
-	defer func() { srv.Close(); backing.Close() }()
-	cli, err := DialPipeline(srv.Addr(), PipelineOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cli.Close()
-	key := []byte("bench-key")
-	val := make([]byte, 256)
-	cli.Put(key, val)
-	b.ResetTimer()
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			cli.Get(key)
-		}
-	})
 }

@@ -91,6 +91,53 @@ type request struct {
 // size returns the encoded length of the record.
 func (q request) size() int { return reqHdrLen + len(q.key) + len(q.val) }
 
+// encodeOp returns the wire form of op: its op code and the key and
+// value fields of its request record. A scan carries both bounds in the
+// key field.
+func encodeOp(op kv.TracedOp) (code byte, key, val []byte, err error) {
+	switch op.Op {
+	case kv.OpGet, kv.OpFGet:
+		return opGet, op.Key, nil, nil
+	case kv.OpPut:
+		return opPut, op.Key, op.Val, nil
+	case kv.OpMerge:
+		return opMerge, op.Key, op.Val, nil
+	case kv.OpDelete:
+		return opDelete, op.Key, nil, nil
+	case kv.OpScan:
+		return opScan, op.Hi.Encode(op.Lo.Encode(make([]byte, 0, 2*kv.KeyLen))), nil, nil
+	default:
+		return 0, nil, nil, fmt.Errorf("remote: unsupported op %v", op.Op)
+	}
+}
+
+// decodeOp is the inverse of encodeOp: the operation a decoded request
+// record asks for.
+func decodeOp(q request) (kv.TracedOp, error) {
+	switch q.op {
+	case opGet:
+		return kv.TracedOp{Op: kv.OpGet, Key: q.key}, nil
+	case opPut:
+		return kv.TracedOp{Op: kv.OpPut, Key: q.key, Val: q.val}, nil
+	case opMerge:
+		return kv.TracedOp{Op: kv.OpMerge, Key: q.key, Val: q.val}, nil
+	case opDelete:
+		return kv.TracedOp{Op: kv.OpDelete, Key: q.key}, nil
+	case opScan:
+		if len(q.key) != 2*kv.KeyLen {
+			return kv.TracedOp{}, errors.New("remote: scan bounds must be 2 state keys")
+		}
+		lo, err := kv.DecodeStateKey(q.key[:kv.KeyLen])
+		if err != nil {
+			return kv.TracedOp{}, err
+		}
+		hi, err := kv.DecodeStateKey(q.key[kv.KeyLen:])
+		return kv.TracedOp{Op: kv.OpScan, Lo: lo, Hi: hi}, err
+	default:
+		return kv.TracedOp{}, errors.New("unknown op")
+	}
+}
+
 // appendHello appends a hello frame for the given version.
 func appendHello(dst []byte, version byte, sessionID uint64) []byte {
 	var h [helloLen]byte

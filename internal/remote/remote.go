@@ -5,7 +5,7 @@
 // deployment (multiple workload generator instances against one shared
 // remote store, or a sharded fleet of them; see package shard).
 //
-// The package is split into three layers:
+// The package is split into four files:
 //
 //   - protocol.go — the wire codec: frame layouts, size limits, and the
 //     encode/decode helpers shared by both ends and both versions.

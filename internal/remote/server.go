@@ -165,64 +165,35 @@ func (s *Server) getSession(id uint64) *session {
 	return sess
 }
 
-// apply executes one decoded request against the backing store with
-// per-request panic recovery: a panicking engine fails the request, not
-// the connection.
-func (s *Server) apply(op byte, key, val []byte) (status byte, out []byte) {
+// apply executes one decoded request against the backing store through
+// kv.DoTraced, the one dispatch path, and maps the outcome to a wire
+// status, with per-request panic recovery: a panicking engine fails the
+// request, not the connection.
+func (s *Server) apply(q request) (status byte, out []byte) {
 	defer func() {
 		if p := recover(); p != nil {
 			status, out = statusError, []byte(fmt.Sprintf("store panic: %v", p))
 		}
 	}()
-	switch op {
-	case opGet:
-		v, err := s.store.Get(key)
-		switch {
-		case err == nil:
-			return statusOK, v
-		case errors.Is(err, kv.ErrNotFound):
-			return statusNotFound, nil
-		default:
-			return errStatus(err), []byte(err.Error())
-		}
-	case opPut:
-		if err := s.store.Put(key, val); err != nil {
-			return errStatus(err), []byte(err.Error())
-		}
-	case opMerge:
-		if err := s.store.Merge(key, val); err != nil {
-			return errStatus(err), []byte(err.Error())
-		}
-	case opDelete:
-		if err := s.store.Delete(key); err != nil {
-			return errStatus(err), []byte(err.Error())
-		}
-	case opScan:
-		if len(key) != 2*kv.KeyLen {
-			return statusError, []byte("remote: scan bounds must be 2 state keys")
-		}
-		lo, err := kv.DecodeStateKey(key[:kv.KeyLen])
-		if err != nil {
-			return statusError, []byte(err.Error())
-		}
-		hi, err := kv.DecodeStateKey(key[kv.KeyLen:])
-		if err != nil {
-			return statusError, []byte(err.Error())
-		}
-		entries, err := kv.ScanRange(s.store, lo, hi)
-		if err != nil {
-			return errStatus(err), []byte(err.Error())
-		}
-		out, err := encodeEntries(entries)
-		if err != nil {
-			return errStatus(err), []byte(err.Error())
-		}
-		s.scans.Add(1)
-		return statusOK, out
-	default:
-		return statusError, []byte("unknown op")
+	op, err := decodeOp(q)
+	if err != nil {
+		return statusError, []byte(err.Error())
 	}
-	return statusOK, nil
+	res, err := kv.DoTraced(s.store, nil, op)
+	payload := res.Val
+	if err == nil && q.op == opScan {
+		if payload, err = encodeEntries(res.Entries); err == nil {
+			s.scans.Add(1)
+		}
+	}
+	switch {
+	case err == nil:
+		return statusOK, payload
+	case q.op == opGet && errors.Is(err, kv.ErrNotFound):
+		return statusNotFound, nil
+	default:
+		return errStatus(err), []byte(err.Error())
+	}
 }
 
 // nowNanos is the server-monotonic clock for trace handle stamps.
@@ -239,7 +210,7 @@ func (s *Server) serve(sess *session, q request, window int, traced bool) cached
 		if traced {
 			t0 = s.nowNanos()
 		}
-		status, out := s.apply(q.op, q.key, q.val)
+		status, out := s.apply(q)
 		if traced {
 			t1 = s.nowNanos()
 		}

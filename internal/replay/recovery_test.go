@@ -45,7 +45,7 @@ func oracleState(t *testing.T, trace []kv.Access) []kv.Entry {
 	defer s.Close()
 	var keyBuf [kv.KeyLen]byte
 	for _, a := range trace {
-		if _, err := replay.Apply(s, a, keyBuf[:]); err != nil {
+		if _, err := replay.Apply(s, nil, a, keyBuf[:]); err != nil {
 			t.Fatal(err)
 		}
 	}

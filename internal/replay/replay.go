@@ -49,8 +49,8 @@ type Options struct {
 	// them. The callback must not retain locks or block.
 	Observer func(*Collector)
 	// Tracer, when set, samples operations for per-stage latency
-	// attribution: sampled ops travel the stack as kv.TracedOp carrying
-	// a tracing.Ctx, and unsampled ops take the plain path untouched.
+	// attribution: every op travels the stack as a kv.TracedOp, a
+	// sampled one carrying a tracing.Ctx and an unsampled one a nil Ctx.
 	// Latency histograms and counters are identical either way.
 	Tracer *tracing.Tracer
 }
@@ -285,50 +285,19 @@ func valueOf(size uint32) []byte {
 	return valuePool[:size]
 }
 
-// Apply executes one access against the store, returning (missed, error).
-func Apply(store kv.Store, a kv.Access, keyBuf []byte) (bool, error) {
-	key := a.Key.Encode(keyBuf[:0])
-	switch a.Op {
-	case kv.OpGet, kv.OpFGet:
-		_, err := store.Get(key)
-		if errors.Is(err, kv.ErrNotFound) {
-			return true, nil
-		}
-		return false, err
-	case kv.OpPut:
-		return false, store.Put(key, valueOf(a.Size))
-	case kv.OpMerge:
-		return false, store.Merge(key, valueOf(a.Size))
-	case kv.OpDelete:
-		return false, store.Delete(key)
-	case kv.OpScan:
-		// A scan access covers the tail of its key group: the consistent
-		// range [Key, {Key.Group, MaxSub}]. An empty result is not a miss.
-		_, err := kv.ScanRange(store, a.Key, a.Key.GroupEnd())
-		return false, err
-	default:
-		return false, fmt.Errorf("replay: unknown op %d", a.Op)
-	}
-}
-
-// applyTraced mirrors Apply for a sampled operation: the same op
-// semantics (including miss classification and scan bounds), dispatched
-// through kv.DoTraced so every layer that understands the trace context
-// attributes its share of the latency.
-func applyTraced(store kv.Store, a kv.Access, keyBuf []byte, tc *tracing.Ctx) (bool, error) {
-	op := kv.TracedOp{Op: a.Op}
-	switch a.Op {
-	case kv.OpGet, kv.OpFGet, kv.OpDelete:
-		op.Key = a.Key.Encode(keyBuf[:0])
-	case kv.OpPut, kv.OpMerge:
-		op.Key = a.Key.Encode(keyBuf[:0])
-		op.Val = valueOf(a.Size)
-	case kv.OpScan:
-		op.Lo, op.Hi = a.Key, a.Key.GroupEnd()
-	default:
-		return false, fmt.Errorf("replay: unknown op %d", a.Op)
-	}
-	_, err := kv.DoTraced(store, tc, op)
+// Apply executes one access against the store, returning (missed,
+// error): the access becomes a kv.TracedOp and enters the store through
+// kv.DoTraced, the one dispatch path, which ignores the fields its
+// operation does not use and rejects an unknown one. tc is the op's
+// trace context, nil for an unsampled op; with one, every layer that
+// understands it attributes its share of the latency. A scan access
+// covers the tail of its key group: the consistent range
+// [Key, {Key.Group, MaxSub}]; an empty result is not a miss.
+func Apply(store kv.Store, tc *tracing.Ctx, a kv.Access, keyBuf []byte) (bool, error) {
+	_, err := kv.DoTraced(store, tc, kv.TracedOp{
+		Op: a.Op, Key: a.Key.Encode(keyBuf[:0]), Val: valueOf(a.Size),
+		Lo: a.Key, Hi: a.Key.GroupEnd(),
+	})
 	if (a.Op == kv.OpGet || a.Op == kv.OpFGet) && errors.Is(err, kv.ErrNotFound) {
 		return true, nil
 	}
@@ -569,13 +538,10 @@ func (c *Collector) Do(a kv.Access) error {
 	return c.complete(missed, err, end)
 }
 
-// apply runs one access against the store; a sampled one (tc non-nil)
-// travels the traced path and its trace is finished here.
+// apply runs one access against the store and finishes its trace (a
+// no-op for an unsampled one, whose tc is nil).
 func (c *Collector) apply(a kv.Access, tc *tracing.Ctx) (bool, error) {
-	if tc == nil {
-		return Apply(c.store, a, c.keyBuf[:])
-	}
-	missed, err := applyTraced(c.store, a, c.keyBuf[:], tc)
+	missed, err := Apply(c.store, tc, a, c.keyBuf[:])
 	c.opts.Tracer.Finish(tc)
 	return missed, err
 }

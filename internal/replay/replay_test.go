@@ -58,8 +58,8 @@ func TestApplySemantics(t *testing.T) {
 	defer st.Close()
 	var buf [kv.KeyLen]byte
 	k := kv.StateKey{Group: 9, Sub: 9}
-	Apply(st, kv.Access{Op: kv.OpPut, Key: k, Size: 16}, buf[:])
-	Apply(st, kv.Access{Op: kv.OpMerge, Key: k, Size: 8}, buf[:])
+	Apply(st, nil, kv.Access{Op: kv.OpPut, Key: k, Size: 16}, buf[:])
+	Apply(st, nil, kv.Access{Op: kv.OpMerge, Key: k, Size: 8}, buf[:])
 	v, err := st.Get(k.Bytes())
 	if err != nil || len(v) != 24 {
 		t.Fatalf("value len = %d, %v", len(v), err)
@@ -68,7 +68,7 @@ func TestApplySemantics(t *testing.T) {
 	if v[0] != valuePool[0] {
 		t.Fatal("value bytes not from the pool")
 	}
-	if _, err := Apply(st, kv.Access{Op: kv.Op(200), Key: k}, buf[:]); err == nil {
+	if _, err := Apply(st, nil, kv.Access{Op: kv.Op(200), Key: k}, buf[:]); err == nil {
 		t.Fatal("unknown op should error")
 	}
 }

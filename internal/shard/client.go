@@ -7,6 +7,7 @@ import (
 
 	"gadget/internal/kv"
 	"gadget/internal/remote"
+	"gadget/internal/tracing"
 )
 
 // Client is a kv.Store view of a sharded Server: one pipelined
@@ -23,6 +24,7 @@ type Client struct {
 }
 
 var _ kv.Store = (*Client)(nil)
+var _ kv.Traceable = (*Client)(nil)
 
 // Dial connects one pipelined client per shard address. The shard count
 // and order must match the server's: routing depends on both.
@@ -52,30 +54,30 @@ func (c *Client) Caps() kv.Capabilities {
 	return kv.Capabilities{NativeMerge: true, RangeScans: true}
 }
 
-// conn returns the shard connection owning key.
-func (c *Client) conn(key []byte) *remote.PipelinedClient {
+// DoTraced implements kv.Traceable and is the body of every operation.
+// A point operation charges the route decision to StageRoute and then
+// rides the owning shard's pipeline, Ctx included.
+func (c *Client) DoTraced(tc *tracing.Ctx, op kv.TracedOp) (kv.TracedResult, error) {
+	if op.Op == kv.OpScan {
+		return c.scan(tc, op.Lo, op.Hi)
+	}
+	t0 := tc.Now()
 	c.routed.Add(1)
-	return c.conns[Route(key, len(c.conns))]
+	conn := c.conns[Route(op.Key, len(c.conns))]
+	tc.AddSince(tracing.StageRoute, t0)
+	return conn.DoTraced(tc, op)
 }
 
-// Get implements kv.Store.
-func (c *Client) Get(key []byte) ([]byte, error) { return c.conn(key).Get(key) }
-
-// Put implements kv.Store.
-func (c *Client) Put(key, value []byte) error { return c.conn(key).Put(key, value) }
-
-// Merge implements kv.Store.
-func (c *Client) Merge(key, operand []byte) error { return c.conn(key).Merge(key, operand) }
-
-// Delete implements kv.Store.
-func (c *Client) Delete(key []byte) error { return c.conn(key).Delete(key) }
-
-// ScanRange implements kv.RangeScanner: every shard scans [lo, hi]
+// scan is the fan-out range scan: every shard scans [lo, hi]
 // concurrently against its own consistent view, and the sorted per-shard
 // results merge into one ascending run. Key ownership is disjoint across
-// shards, so the merge never sees duplicates.
-func (c *Client) ScanRange(lo, hi kv.StateKey) ([]kv.Entry, error) {
+// shards, so the merge never sees duplicates. The per-shard calls are
+// untraced (a pooled Ctx must not be shared across goroutines): the
+// whole concurrent fan-out wait is charged to StageFanout and the k-way
+// merge to StageMerge.
+func (c *Client) scan(tc *tracing.Ctx, lo, hi kv.StateKey) (kv.TracedResult, error) {
 	c.scans.Add(1)
+	t0 := tc.Now()
 	parts := make([][]kv.Entry, len(c.conns))
 	errs := make([]error, len(c.conns))
 	var wg sync.WaitGroup
@@ -87,12 +89,46 @@ func (c *Client) ScanRange(lo, hi kv.StateKey) ([]kv.Entry, error) {
 		}(i, conn)
 	}
 	wg.Wait()
+	tc.AddSince(tracing.StageFanout, t0)
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return kv.TracedResult{}, err
 		}
 	}
-	return mergeSorted(parts), nil
+	tm := tc.Now()
+	merged := mergeSorted(parts)
+	tc.AddSince(tracing.StageMerge, tm)
+	return kv.TracedResult{Entries: merged}, nil
+}
+
+// Get implements kv.Store.
+func (c *Client) Get(key []byte) ([]byte, error) {
+	res, err := c.DoTraced(nil, kv.TracedOp{Op: kv.OpGet, Key: key})
+	return res.Val, err
+}
+
+// Put implements kv.Store.
+func (c *Client) Put(key, value []byte) error {
+	_, err := c.DoTraced(nil, kv.TracedOp{Op: kv.OpPut, Key: key, Val: value})
+	return err
+}
+
+// Merge implements kv.Store.
+func (c *Client) Merge(key, operand []byte) error {
+	_, err := c.DoTraced(nil, kv.TracedOp{Op: kv.OpMerge, Key: key, Val: operand})
+	return err
+}
+
+// Delete implements kv.Store.
+func (c *Client) Delete(key []byte) error {
+	_, err := c.DoTraced(nil, kv.TracedOp{Op: kv.OpDelete, Key: key})
+	return err
+}
+
+// ScanRange implements kv.RangeScanner.
+func (c *Client) ScanRange(lo, hi kv.StateKey) ([]kv.Entry, error) {
+	res, err := c.DoTraced(nil, kv.TracedOp{Op: kv.OpScan, Lo: lo, Hi: hi})
+	return res.Entries, err
 }
 
 // mergeSorted merges ascending runs into one ascending run by repeated

@@ -4,11 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"gadget/internal/kv"
 	"gadget/internal/memstore"
 	"gadget/internal/remote"
+	"gadget/internal/tracing"
 )
 
 // chaosOp is one step of the differential sequence.
@@ -163,6 +165,70 @@ func TestChaosDifferentialAllEngines(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// Tracing must not change what the middleware does: the same seeded
+// script through resilient(chaos(memstore)), once with no trace context
+// and once with every op carrying a sampled one, ends in the same state
+// with the same faults injected and the same retries spent (same chaos
+// seed and JitterSeed, so both runs draw the same lottery).
+func TestChaosDifferentialTraced(t *testing.T) {
+	const seed, nOps, nKeys = 11, 1200, 150
+	run := func(tracer *tracing.Tracer) ([]kv.Entry, kv.ChaosCounters, kv.ResilienceCounters) {
+		s, err := Open(Config{
+			Engine:     "memstore",
+			Chaos:      &ChaosConfig{Seed: seed, ErrorRate: 0.05, LatencyRate: 0.02, LatencyUs: 10},
+			Resilience: &ResilienceConfig{MaxRetries: 12, BackoffBaseUs: 1, BackoffMaxMs: 1, JitterSeed: seed, BreakerThreshold: -1},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		for i, o := range chaosOps(seed, nOps, nKeys) {
+			op := kv.TracedOp{Key: kv.StateKey{Group: uint64(o.key)}.Bytes(), Val: []byte(o.val)}
+			switch o.kind {
+			case 0:
+				op.Op = kv.OpDelete
+			case 1, 2, 3:
+				op.Op = kv.OpMerge
+			case 4, 5, 6, 7:
+				op.Op = kv.OpPut
+			default:
+				op.Op = kv.OpGet
+			}
+			tc := tracer.Start(uint8(op.Op))
+			_, err := kv.DoTraced(s, tc, op)
+			tracer.Finish(tc)
+			if err != nil && !errors.Is(err, kv.ErrNotFound) {
+				t.Fatalf("op %d: %v (retries should absorb injected faults)", i, err)
+			}
+		}
+		// Read below the middleware, so the comparison draws no lottery.
+		chaos := s.(*kv.ResilientStore).Inner().(*kv.ChaosStore)
+		state, err := kv.ScanAll(chaos.Inner())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return state, chaos.Counters(), s.(kv.ResilienceReporter).ResilienceCounters()
+	}
+	tracer := tracing.New(tracing.Options{SampleN: 1})
+	state, chaos, res := run(nil)
+	tracedState, tracedChaos, tracedRes := run(tracer)
+	if started, finished := tracer.Stats(); started != nOps || finished != nOps {
+		t.Fatalf("traced run started %d and finished %d traces, want %d", started, finished, nOps)
+	}
+	if chaos.InjectedErrors == 0 || res.Retries == 0 {
+		t.Fatalf("nothing to absorb: %+v %+v", chaos, res)
+	}
+	if tracedChaos != chaos {
+		t.Fatalf("chaos counters: traced %+v, untraced %+v", tracedChaos, chaos)
+	}
+	if tracedRes != res {
+		t.Fatalf("resilience counters: traced %+v, untraced %+v", tracedRes, res)
+	}
+	if !reflect.DeepEqual(tracedState, state) {
+		t.Fatalf("final state differs: traced %d entries, untraced %d", len(tracedState), len(state))
 	}
 }
 

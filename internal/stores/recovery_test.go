@@ -50,7 +50,7 @@ func recoveryOracle(t *testing.T, trace []kv.Access) []kv.Entry {
 	defer s.Close()
 	var keyBuf [kv.KeyLen]byte
 	for _, a := range trace {
-		if _, err := replay.Apply(s, a, keyBuf[:]); err != nil {
+		if _, err := replay.Apply(s, nil, a, keyBuf[:]); err != nil {
 			t.Fatal(err)
 		}
 	}
