@@ -592,9 +592,9 @@ func BenchmarkShardedThroughput(b *testing.B) {
 }
 
 // BenchmarkPipelineDepth sweeps the pipeline depth on one shard:
-// depth=1 degenerates to a request/response lockstep (protocol-v2
-// behaviour with v3 framing), while larger depths let the 16 workers
-// keep many requests in flight and amortize syscalls across batches.
+// depth=1 degenerates to a request/response lockstep (one request on
+// the wire at a time), while larger depths let the 16 workers keep many
+// requests in flight and amortize syscalls across batches.
 func BenchmarkPipelineDepth(b *testing.B) {
 	for _, depth := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {

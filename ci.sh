@@ -44,6 +44,13 @@ go test -race -timeout 10m ./internal/kv/ ./internal/stores/ \
     ./internal/faster/ ./internal/lethe/ ./internal/remote/ \
     ./internal/shard/ ./internal/tracing/
 
+echo "== go test -race (remote role hand-off, repeated)"
+# The remote client has no goroutine of its own: callers pass the writer
+# and reader roles between themselves. Ten repeats under the race
+# detector of the hand-off under reordered answers and dying
+# connections, and of Close waking a blocked reader.
+go test -race -count=10 -timeout 5m -run 'TestPipelineRoleHandoff|TestPipelineCloseWakesReader' ./internal/remote/
+
 echo "== go test -race (crash recovery, full)"
 # The recovery paths — checkpoint save/restore, the crash-replay loop,
 # and the campaign sweep — run full (non-short) under the race detector:
@@ -167,11 +174,10 @@ go test -run '^$' -bench 'BenchmarkMayContain' -benchtime 0.5s -benchmem -timeou
 # are the noisiest numbers in the suite, so each point is averaged over
 # -count 3 (the awk below averages duplicates) before the comparison.
 go test -run '^$' -bench 'BenchmarkShardedThroughput|BenchmarkPipelineDepth' -benchtime 0.3s -count 3 -timeout 10m . | tee -a "$bench_out"
-# One 256-byte Get over loopback per iteration: the v2 lockstep client,
-# the v3 pipeline shared by parallel callers, and the v3 pipeline with a
-# single synchronous caller at depth 1. The gap between the first and
-# the last is what a lone caller pays for v3, and gates v2's removal.
-go test -run '^$' -bench 'BenchmarkRemoteRoundTrip|BenchmarkPipelinedRoundTrip' -benchtime 0.3s -count 3 -timeout 5m ./internal/remote/ | tee -a "$bench_out"
+# One 256-byte Get over loopback per iteration: the pipeline shared by
+# parallel callers, and a single synchronous caller at depth 1 — the
+# lone-caller round trip every remote op pays at least.
+go test -run '^$' -bench 'BenchmarkPipelinedRoundTrip' -benchtime 0.3s -count 3 -timeout 5m ./internal/remote/ | tee -a "$bench_out"
 awk '
     # Collect ns/op per benchmark name (strip the -N GOMAXPROCS suffix),
     # averaging duplicate counts, from both baseline and fresh output.
@@ -199,7 +205,7 @@ awk '
             # after -count 3 averaging, so they get a wider threshold:
             # still failing on a structural (>60%) regression, not on
             # scheduler jitter.
-            thr = (name ~ /ShardedThroughput|PipelineDepth|RemoteRoundTrip|PipelinedRoundTrip/) ? 1.60 : 1.25
+            thr = (name ~ /ShardedThroughput|PipelineDepth|PipelinedRoundTrip/) ? 1.60 : 1.25
             printf "bench-drift: %-50s %10.1f -> %10.1f ns/op (%+.1f%%)\n", name, base, new, (ratio - 1) * 100
             if (ratio > thr) {
                 printf "bench-drift: FAIL %s regressed %.1f%% (>%d%% threshold)\n", name, (ratio - 1) * 100, (thr - 1) * 100

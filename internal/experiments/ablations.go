@@ -323,7 +323,7 @@ func AblationExternalState(s Scale) (Report, error) {
 		return rep, err
 	}
 	defer srv.Close()
-	cli, err := remote.Dial(srv.Addr())
+	cli, err := remote.DialPipeline(srv.Addr(), remote.PipelineOptions{})
 	if err != nil {
 		return rep, err
 	}

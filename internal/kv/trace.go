@@ -44,7 +44,7 @@ type Traceable interface {
 // DoTraced dispatches op against s: the one way an operation enters a
 // store, sampled or not. A sampled op takes s's Traceable path when
 // implemented. Otherwise — an unsampled op, or an opaque leaf (memstore,
-// the v2 client, ...) — it is the plain Store call bracketed by the
+// the B+Tree, ...) — it is the plain Store call bracketed by the
 // Ctx: with one, the whole inner duration goes to StageEngine, so the
 // leaf still accounts in the stage sum; with none, the bracket is two
 // inlined nil checks, so an unsampled op pays no interface assertion,

@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"io"
@@ -15,29 +16,20 @@ import (
 // server must never panic or hang, and must keep serving well-formed
 // clients afterward.
 func FuzzServerFrame(f *testing.F) {
-	// Seed corpus: valid hello, valid hello + valid request, truncated
-	// frames, oversized length fields, stale sequence numbers.
-	hello := make([]byte, helloLen)
-	binary.LittleEndian.PutUint32(hello[0:4], protoMagic)
-	hello[4] = protoV2
-	binary.LittleEndian.PutUint64(hello[5:13], 42)
+	// Seed corpus: valid hello, truncated hello, garbage, valid hello +
+	// valid batch, a batch whose record declares an oversized key, and a
+	// stale sequence number after a fresh one.
+	hello := appendHello(nil, protoV3, 42)
 	f.Add(hello)
 	f.Add(hello[:7])
 	f.Add([]byte("GET / HTTP/1.1\r\n\r\n"))
-
-	req := make([]byte, reqHdrLen+1+1)
-	binary.LittleEndian.PutUint64(req[0:8], 1) // seq
-	req[8] = opPut
-	binary.LittleEndian.PutUint32(req[9:13], 1)  // keyLen
-	binary.LittleEndian.PutUint32(req[13:17], 1) // valLen
-	req[17], req[18] = 'k', 'v'
-	f.Add(append(append([]byte{}, hello...), req...))
-
-	huge := make([]byte, reqHdrLen)
-	binary.LittleEndian.PutUint64(huge[0:8], 2)
-	huge[8] = opGet
-	binary.LittleEndian.PutUint32(huge[9:13], 0xFFFFFFFF)
+	put := appendBatch(nil, []request{{seq: 1, op: opPut, key: []byte("k"), val: []byte("v")}})
+	f.Add(append(append([]byte{}, hello...), put...))
+	huge := appendBatch(nil, []request{{seq: 2, op: opGet, key: []byte("k")}})
+	binary.LittleEndian.PutUint32(huge[batchHdrLen+9:], 0xFFFFFFFF)
 	f.Add(append(append([]byte{}, hello...), huge...))
+	stale := appendBatch(nil, []request{{seq: 5, op: opGet, key: []byte("k")}, {seq: 3, op: opGet, key: []byte("k")}})
+	f.Add(append(append([]byte{}, hello...), stale...))
 
 	backing := memstore.New()
 	srv, err := Serve(backing, "127.0.0.1:0")
@@ -53,13 +45,15 @@ func FuzzServerFrame(f *testing.F) {
 		}
 		conn.SetDeadline(time.Now().Add(2 * time.Second))
 		conn.Write(data)
-		// Drain whatever the server answers until it closes or stalls;
-		// the only requirement is that it neither panics nor hangs.
+		// Half-close so the server sees the input end instead of waiting
+		// out the deadline for more; then drain whatever it answers. The
+		// only requirement is that it neither panics nor hangs.
+		conn.(*net.TCPConn).CloseWrite()
 		io.Copy(io.Discard, conn)
 		conn.Close()
 
 		// The server must still serve a healthy client.
-		cli, err := Dial(srv.Addr())
+		cli, err := DialPipeline(srv.Addr(), PipelineOptions{})
 		if err != nil {
 			t.Fatalf("server unusable after fuzz input %x: %v", data, err)
 		}
@@ -104,9 +98,9 @@ func FuzzBatchFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Codec robustness: decode must never panic, and a decodable
 		// batch must round-trip exactly.
-		if reqs, err := readBatch(bytes.NewReader(data)); err == nil {
+		if reqs, err := readBatch(bufio.NewReader(bytes.NewReader(data))); err == nil {
 			enc := appendBatch(nil, reqs)
-			again, err := readBatch(bytes.NewReader(enc))
+			again, err := readBatch(bufio.NewReader(bytes.NewReader(enc)))
 			if err != nil {
 				t.Fatalf("re-decode of re-encoded batch failed: %v", err)
 			}
@@ -130,6 +124,7 @@ func FuzzBatchFrame(f *testing.F) {
 		conn.SetDeadline(time.Now().Add(2 * time.Second))
 		conn.Write(appendHello(nil, protoV3, 99))
 		conn.Write(data)
+		conn.(*net.TCPConn).CloseWrite()
 		io.Copy(io.Discard, conn)
 		conn.Close()
 
@@ -148,26 +143,25 @@ func FuzzBatchFrame(f *testing.F) {
 // responses. The client must never panic, hang, or over-read.
 func FuzzClientFrame(f *testing.F) {
 	// Seed corpus: OK response, not-found, error with message, transient,
-	// truncated header, oversized payload length.
-	ok := make([]byte, rspHdrLen)
-	ok[0] = statusOK
+	// truncated header, oversized payload length, and an answer to a
+	// sequence number nobody asked.
+	rsp := func(seq uint64, status byte, payload string) []byte {
+		var b bytes.Buffer
+		w := bufio.NewWriter(&b)
+		writeResponse(w, seq, response{status: status, payload: []byte(payload)}, false)
+		w.Flush()
+		return b.Bytes()
+	}
+	ok := rsp(1, statusOK, "v")
 	f.Add(ok)
-	nf := make([]byte, rspHdrLen)
-	nf[0] = statusNotFound
-	f.Add(nf)
-	msg := make([]byte, rspHdrLen+4)
-	msg[0] = statusError
-	binary.LittleEndian.PutUint32(msg[1:5], 4)
-	copy(msg[5:], "boom")
-	f.Add(msg)
-	tr := make([]byte, rspHdrLen)
-	tr[0] = statusTransient
-	f.Add(tr)
-	f.Add(ok[:2])
-	huge := make([]byte, rspHdrLen)
-	huge[0] = statusOK
-	binary.LittleEndian.PutUint32(huge[1:5], 0xFFFFFFFF)
+	f.Add(rsp(1, statusNotFound, ""))
+	f.Add(rsp(1, statusError, "boom"))
+	f.Add(rsp(1, statusTransient, "later"))
+	f.Add(ok[:5])
+	huge := rsp(1, statusOK, "")
+	binary.LittleEndian.PutUint32(huge[9:13], 0xFFFFFFFF)
 	f.Add(huge)
+	f.Add(append(rsp(9, statusOK, "x"), ok...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		server, clientSide := net.Pipe()
@@ -177,25 +171,19 @@ func FuzzClientFrame(f *testing.F) {
 			defer close(done)
 			defer server.Close()
 			server.SetDeadline(time.Now().Add(2 * time.Second))
-			// Consume the hello and one request, then answer with the
-			// fuzz bytes and hang up.
+			// Consume the hello and one batch, then answer with the fuzz
+			// bytes and hang up.
 			hello := make([]byte, helloLen)
 			if _, err := io.ReadFull(server, hello); err != nil {
 				return
 			}
-			hdr := make([]byte, reqHdrLen)
-			if _, err := io.ReadFull(server, hdr); err != nil {
+			if _, err := readBatch(bufio.NewReader(server)); err != nil {
 				return
-			}
-			kl := binary.LittleEndian.Uint32(hdr[9:13])
-			vl := binary.LittleEndian.Uint32(hdr[13:17])
-			if kl < maxFrame && vl < maxFrame {
-				io.CopyN(io.Discard, server, int64(kl)+int64(vl))
 			}
 			server.Write(data)
 		}()
 
-		cli, err := DialOptions("fuzz", ClientOptions{
+		cli, err := DialPipeline("fuzz", PipelineOptions{
 			Dialer:  dialer,
 			Redials: -1, // the pipe can only be dialed once
 			Timeout: 500 * time.Millisecond,

@@ -2,9 +2,10 @@ package remote
 
 import (
 	"bufio"
+	"crypto/rand"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sort"
 	"sync"
@@ -15,7 +16,7 @@ import (
 	"gadget/internal/tracing"
 )
 
-// PipelineOptions tunes a protocol-v3 client.
+// PipelineOptions tunes a client.
 type PipelineOptions struct {
 	// Timeout bounds transport progress: each batch write, and the wait
 	// for the next response while requests are in flight (0 = none).
@@ -65,6 +66,15 @@ func (o PipelineOptions) withDefaults() PipelineOptions {
 	return o
 }
 
+// newSessionID draws a random 64-bit session identifier.
+func newSessionID() (uint64, error) {
+	var idBuf [8]byte
+	if _, err := rand.Read(idBuf[:]); err != nil {
+		return 0, fmt.Errorf("remote: session id: %w", err)
+	}
+	return binary.LittleEndian.Uint64(idBuf[:]), nil
+}
+
 // presult is the outcome of one pipelined request.
 type presult struct {
 	status byte
@@ -72,37 +82,42 @@ type presult struct {
 	err    error
 }
 
-// pcall is one in-flight pipelined request. done is buffered so the
-// delivering goroutine never blocks on a caller.
+// pcall is one pipelined request. Whichever goroutine completes it —
+// the caller itself, another caller holding the reader role, or a
+// failure path — sets res and signals done (buffered) exactly once,
+// under c.mu.
 //
-// tc/enq/flushed carry trace state across the pipeline's goroutines;
-// every hand-off happens under c.mu (takeBatch, takeCall,
-// requeueInflight), which provides the happens-before edges the
+// tc/enq/flushed carry trace state between callers; every hand-off
+// happens under c.mu, which provides the happens-before edges the
 // unsynchronized Ctx requires.
 type pcall struct {
-	seq      uint64
-	op       byte
-	key, val []byte
-	done     chan presult
+	request
+	res  presult
+	done chan struct{}
 
 	tc      *tracing.Ctx // nil for untraced operations
 	enq     int64        // tracer clock at enqueue (queue-stage start)
 	flushed int64        // tracer clock at batch cut (wire-stage start)
 }
 
-// PipelinedClient is a protocol-v3 kv.Store backed by a remote Server.
-// Unlike Client, it multiplexes many concurrent callers over one
-// connection: operations are coalesced into batch frames by a writer
-// loop, up to Depth requests ride the wire simultaneously, and responses
-// complete in whatever order the server produces them, matched by
-// sequence number. A single caller still observes synchronous kv.Store
-// semantics — the pipeline fills only when multiple goroutines share the
-// client, which is exactly the shard.Client deployment shape.
+// PipelinedClient is a kv.Store backed by a remote Server. It
+// multiplexes concurrent callers over one connection and runs no
+// goroutine of its own: the callers do the I/O, taking two roles in
+// turn. A caller that finds the writer role free drains the queue —
+// its own request and whatever others queued meanwhile — into batch
+// frames and flushes them, looping while more arrive (group commit). A
+// caller waiting for its response that finds the reader role free reads
+// responses, completing other callers' requests by sequence number,
+// until its own arrives; then it passes the role to a caller still
+// waiting. A lone caller so writes its request and reads its own answer
+// with no hand-off, while concurrent callers share batch frames and keep
+// up to Depth requests on the wire, answered in any order.
 //
-// Transport failures do not poison the client: the connection is
-// re-dialed under the same session ID and every unanswered request is
-// retransmitted in sequence order; the server answers duplicates from
-// its per-session response window, keeping the stream exactly-once.
+// Transport failures do not poison the client: the role holder that
+// sees the connection break requeues every unanswered request in
+// sequence order, re-dials under the same session ID, and retransmits
+// them before any newer request; the server answers duplicates from its
+// per-session response window, keeping the stream exactly-once.
 type PipelinedClient struct {
 	addr      string
 	opts      PipelineOptions
@@ -111,13 +126,24 @@ type PipelinedClient struct {
 	mu       sync.Mutex
 	seq      uint64
 	queue    []*pcall          // accepted, not yet written; ascending seq
-	inflight map[uint64]*pcall // written on the live conn, awaiting response
+	inflight map[uint64]*pcall // written on conn, awaiting response
 	closed   bool
 
-	slots    chan struct{} // pipeline window semaphore (capacity Depth)
-	kick     chan struct{} // wake the writer: queue became non-empty
-	closeCh  chan struct{}
-	loopDone chan struct{}
+	// conn is the live connection, nil from a transport failure until
+	// the redial; only the writer role uses w, only the reader role r.
+	conn    net.Conn
+	w       *bufio.Writer
+	r       *bufio.Reader
+	got     bool     // conn has delivered a response
+	strikes int      // failed dials and connections lost without a response, in a row
+	writing bool     // a caller holds the writer role
+	parked  bool     // the reader token waits for the next live connection
+	batch   []*pcall // the writer role's scratch batch
+
+	slots chan struct{} // pipeline window semaphore (capacity Depth)
+	// readTurn holds the reader role's one token while no caller reads;
+	// waiting callers select on it beside their done channel.
+	readTurn chan struct{}
 
 	// Transport counters.
 	requests  atomic.Uint64 // operations accepted
@@ -134,9 +160,9 @@ type PipelinedClient struct {
 var _ kv.Store = (*PipelinedClient)(nil)
 var _ kv.Traceable = (*PipelinedClient)(nil)
 
-// DialPipeline connects a protocol-v3 pipelined client. The initial
-// connection is established eagerly (sharing the redial budget) so
-// configuration errors surface immediately.
+// DialPipeline connects a client. The initial connection is established
+// eagerly (sharing the redial budget) so configuration errors surface
+// immediately.
 func DialPipeline(addr string, opts PipelineOptions) (*PipelinedClient, error) {
 	opts = opts.withDefaults()
 	id, err := newSessionID()
@@ -148,10 +174,9 @@ func DialPipeline(addr string, opts PipelineOptions) (*PipelinedClient, error) {
 		opts:      opts,
 		sessionID: id,
 		inflight:  make(map[uint64]*pcall),
+		parked:    true,
 		slots:     make(chan struct{}, opts.Depth),
-		kick:      make(chan struct{}, 1),
-		closeCh:   make(chan struct{}),
-		loopDone:  make(chan struct{}),
+		readTurn:  make(chan struct{}, 1),
 	}
 	var conn net.Conn
 	for attempt := 0; attempt <= opts.Redials; attempt++ {
@@ -165,13 +190,14 @@ func DialPipeline(addr string, opts PipelineOptions) (*PipelinedClient, error) {
 	if err != nil {
 		return nil, err
 	}
-	go c.loop(conn)
+	c.mu.Lock()
+	c.installLocked(conn)
+	c.mu.Unlock()
 	return c, nil
 }
 
-// Caps matches Client: server-translated merge and server-side scans;
-// Snapshots stays false (Snapshot materializes the keyspace over the
-// wire).
+// Caps reports server-translated merge and server-side scans; Snapshots
+// stays false (Snapshot materializes the keyspace over the wire).
 func (c *PipelinedClient) Caps() kv.Capabilities {
 	return kv.Capabilities{NativeMerge: true, RangeScans: true}
 }
@@ -183,7 +209,7 @@ func (c *PipelinedClient) dial() (net.Conn, error) {
 	return net.Dial("tcp", c.addr)
 }
 
-// connect dials and sends the v3 session hello.
+// connect dials and sends the session hello.
 func (c *PipelinedClient) connect() (net.Conn, error) {
 	conn, err := c.dial()
 	if err != nil {
@@ -207,281 +233,154 @@ func (c *PipelinedClient) connect() (net.Conn, error) {
 	return conn, nil
 }
 
-// loop owns the connection lifecycle: connect, serve until the transport
-// breaks, requeue what was unanswered, reconnect. After Redials+1
-// consecutive attempts without a single response, pending operations
-// fail with a transient, outcome-unknown error (the v2 per-op contract,
-// lifted to the pipeline).
-func (c *PipelinedClient) loop(conn net.Conn) {
-	defer close(c.loopDone)
-	strikes := 0
-	for {
+// installLocked makes conn the live connection and hands a parked
+// reader token back to the waiting callers. Caller holds c.mu.
+func (c *PipelinedClient) installLocked(conn net.Conn) {
+	c.conn, c.got = conn, false
+	c.w = bufio.NewWriterSize(conn, 256<<10)
+	c.r = bufio.NewReaderSize(conn, 256<<10)
+	if c.parked {
+		c.parked = false
+		c.readTurn <- struct{}{}
+	}
+}
+
+// breakLocked retires a failed connection, unless that already happened,
+// and requeues its unanswered requests for retransmission. A connection
+// lost before delivering a single response is a strike. Caller holds
+// c.mu.
+func (c *PipelinedClient) breakLocked(conn net.Conn) {
+	if c.conn != conn {
+		return
+	}
+	conn.Close()
+	c.conn, c.w, c.r = nil, nil, nil
+	c.requeueLocked()
+	if c.got {
+		c.strikes = 0
+	} else {
+		c.strikeLocked(fmt.Errorf("remote: connection to %s failed", c.addr))
+	}
+}
+
+// strikeLocked counts a failed dial or a connection lost without a
+// response. After Redials+1 in a row, every pending operation fails with
+// a transient, outcome-unknown error: its request may or may not have
+// been applied by the server. Caller holds c.mu.
+func (c *PipelinedClient) strikeLocked(cause error) {
+	c.strikes++
+	if c.strikes <= c.opts.Redials {
+		return
+	}
+	c.strikes = 0
+	err := kv.UnknownOutcomeError(kv.TransientError(
+		fmt.Errorf("remote: pipeline failed after %d attempts: %w", c.opts.Redials+1, cause)))
+	c.failures.Add(uint64(len(c.queue) + len(c.inflight)))
+	c.drainLocked(presult{status: statusError, err: err})
+}
+
+// drainLocked completes every queued and in-flight operation with res.
+// Caller holds c.mu.
+func (c *PipelinedClient) drainLocked(res presult) {
+	for _, call := range c.queue {
+		call.finish(res)
+	}
+	clear(c.queue)
+	c.queue = c.queue[:0]
+	for _, call := range c.inflight {
+		call.finish(res)
+	}
+	clear(c.inflight)
+}
+
+// finish completes the call with res. Caller holds c.mu.
+func (call *pcall) finish(res presult) {
+	call.res = res
+	call.done <- struct{}{}
+}
+
+// requeueLocked moves unanswered in-flight requests back to the front of
+// the queue, in sequence order, for retransmission on the next
+// connection. The server must observe ascending sequence numbers, and
+// every queued request carries a later sequence number than any
+// in-flight one (batches are taken from the queue front). Caller holds
+// c.mu.
+func (c *PipelinedClient) requeueLocked() {
+	if len(c.inflight) == 0 {
+		return
+	}
+	calls := make([]*pcall, 0, len(c.inflight)+len(c.queue))
+	for _, call := range c.inflight {
+		if call.tc != nil {
+			// The dead connection's unanswered window counts as wire
+			// time; queue accounting restarts at the requeue.
+			now := call.tc.Now()
+			call.tc.Add(tracing.StageWire, now-call.flushed)
+			call.enq = now
+		}
+		calls = append(calls, call)
+	}
+	clear(c.inflight)
+	sort.Slice(calls, func(i, j int) bool { return calls[i].seq < calls[j].seq })
+	c.queue = append(calls, c.queue...)
+}
+
+// write takes the writer role if it is free and drains the queue onto
+// the connection — re-dialing first when there is none — until the
+// queue stays empty: calls that arrive while a batch is on its way out
+// leave in the next one. A caller that finds the role taken returns at
+// once; the holder writes its request on a later pass.
+func (c *PipelinedClient) write() {
+	c.mu.Lock()
+	if c.writing {
+		c.mu.Unlock()
+		return
+	}
+	c.writing = true
+	for len(c.queue) > 0 && !c.closed {
+		conn, w := c.conn, c.w
 		if conn == nil {
-			if !c.waitWork() {
-				break // closed
-			}
+			c.mu.Unlock()
 			c.redials.Add(1)
-			var err error
-			if conn, err = c.connect(); err != nil {
-				strikes++
-				if strikes > c.opts.Redials {
-					c.failPending(err)
-					strikes = 0
-					continue
-				}
-				if !c.sleep(time.Duration(strikes) * time.Millisecond) {
-					break
-				}
-				continue
+			fresh, err := c.connect()
+			c.mu.Lock()
+			switch {
+			case err != nil:
+				c.strikeLocked(err)
+				backoff := time.Duration(c.strikes) * time.Millisecond
+				c.mu.Unlock()
+				time.Sleep(backoff)
+				c.mu.Lock()
+			case c.closed:
+				fresh.Close()
+			default:
+				c.installLocked(fresh)
 			}
-		}
-		got := c.serveConn(conn)
-		conn = nil
-		if c.isClosed() {
-			break
-		}
-		if got {
-			strikes = 0
 			continue
 		}
-		strikes++
-		if strikes > c.opts.Redials {
-			c.failPending(fmt.Errorf("remote: connection to %s failed", c.addr))
-			strikes = 0
-		}
-	}
-	c.failAll(kv.ErrClosed)
-}
-
-// waitWork blocks until the queue is non-empty or the client closes.
-func (c *PipelinedClient) waitWork() bool {
-	for {
-		c.mu.Lock()
-		has := len(c.queue) > 0
+		batch := c.takeBatchLocked()
+		last := len(c.queue) == 0
 		c.mu.Unlock()
-		if has {
-			return true
-		}
-		select {
-		case <-c.closeCh:
-			return false
-		case <-c.kick:
-		}
-	}
-}
-
-// sleep pauses between reconnect attempts, abandoning the wait when the
-// client closes.
-func (c *PipelinedClient) sleep(d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-c.closeCh:
-		return false
-	case <-t.C:
-		return true
-	}
-}
-
-func (c *PipelinedClient) isClosed() bool {
-	select {
-	case <-c.closeCh:
-		return true
-	default:
-		return false
-	}
-}
-
-// serveConn runs one connection: a reader goroutine completes responses
-// by sequence number while this goroutine packs the queue into batch
-// frames. Returns once the transport breaks or the client closes,
-// reporting whether at least one response was delivered; unanswered
-// requests are back in the queue when it returns.
-func (c *PipelinedClient) serveConn(conn net.Conn) bool {
-	defer conn.Close()
-	w := bufio.NewWriterSize(conn, 256<<10)
-	connErr := make(chan error, 1)
-	var got atomic.Bool
-	go c.readLoop(conn, &got, connErr)
-
-	// Retransmit whatever a previous connection left unanswered, plus
-	// anything that queued while reconnecting.
-	if err := c.writeBatches(w, conn); err != nil {
-		c.requeueInflight()
-		return got.Load()
-	}
-	for {
-		select {
-		case <-c.closeCh:
-			c.requeueInflight()
-			return got.Load()
-		case <-connErr:
-			c.requeueInflight()
-			return got.Load()
-		case <-c.kick:
-		}
-		if err := c.writeBatches(w, conn); err != nil {
-			c.requeueInflight()
-			return got.Load()
-		}
-	}
-}
-
-// readLoop completes in-flight requests from sequence-tagged responses,
-// in whatever order the server sends them.
-func (c *PipelinedClient) readLoop(conn net.Conn, got *atomic.Bool, connErr chan<- error) {
-	r := bufio.NewReaderSize(conn, 256<<10)
-	var hdr [rsp3HdrLen]byte
-	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			connErr <- err
-			return
-		}
-		seq := binary.LittleEndian.Uint64(hdr[0:8])
-		status := hdr[8]
-		n := binary.LittleEndian.Uint32(hdr[9:13])
-		if n > maxFrame {
-			// Protocol violation; fail the addressed request outright (no
-			// replay: the response would be oversized again) and drop the
-			// connection.
-			if call := c.takeCall(seq); call != nil {
-				call.done <- presult{err: fmt.Errorf("%w: %d-byte response", ErrFrameTooLarge, n)}
-			}
-			connErr <- ErrFrameTooLarge
-			return
-		}
-		out := make([]byte, n)
-		if _, err := io.ReadFull(r, out); err != nil {
-			connErr <- err
-			return
-		}
-		// On a traced connection every response carries the fixed trace
-		// trailer, whether or not the matching call is traced.
-		var tStart, tEnd int64
-		if c.opts.Traced {
-			var tr [traceTrailerLen]byte
-			if _, err := io.ReadFull(r, tr[:]); err != nil {
-				connErr <- err
-				return
-			}
-			var derr error
-			if tStart, tEnd, derr = decodeTraceTrailer(tr[:]); derr != nil {
-				connErr <- derr
-				return
-			}
-		}
-		call := c.takeCall(seq)
-		if call != nil {
-			if call.tc != nil {
-				// The server's handle window is subtracted from the
-				// flush→delivery window so wire and server stay disjoint.
-				serverDur := tEnd - tStart
-				call.tc.Add(tracing.StageServer, serverDur)
-				call.tc.Add(tracing.StageWire, call.tc.Now()-call.flushed-serverDur)
-			}
-			got.Store(true)
-			call.done <- presult{status: status, out: out}
-		}
-		if c.opts.Timeout > 0 {
-			c.mu.Lock()
-			pending := len(c.inflight)
-			c.mu.Unlock()
-			if pending > 0 {
-				conn.SetReadDeadline(time.Now().Add(c.opts.Timeout))
-			} else {
-				conn.SetReadDeadline(time.Time{})
-			}
-		}
-	}
-}
-
-// takeCall removes and returns the in-flight request for seq, or nil
-// when seq is unknown (already requeued for retransmission, or a
-// duplicate completion).
-func (c *PipelinedClient) takeCall(seq uint64) *pcall {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	call, ok := c.inflight[seq]
-	if !ok {
-		return nil
-	}
-	delete(c.inflight, seq)
-	return call
-}
-
-// writeBatches drains the queue into batch frames and flushes. Requests
-// move to the in-flight table before their bytes hit the wire so the
-// reader can match early responses.
-func (c *PipelinedClient) writeBatches(w *bufio.Writer, conn net.Conn) error {
-	wrote := false
-	for {
-		batch := c.takeBatch()
-		if len(batch) == 0 {
-			break
-		}
-		wrote = true
-		c.batches.Add(1)
-		if c.opts.Timeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(c.opts.Timeout))
-		}
-		payload := 0
-		for _, call := range batch {
-			payload += reqHdrLen + len(call.key) + len(call.val)
-		}
-		var bhdr [batchHdrLen]byte
-		binary.LittleEndian.PutUint32(bhdr[0:4], uint32(len(batch)))
-		binary.LittleEndian.PutUint32(bhdr[4:8], uint32(payload))
-		if _, err := w.Write(bhdr[:]); err != nil {
-			return err
-		}
-		for _, call := range batch {
-			var hdr [reqHdrLen]byte
-			binary.LittleEndian.PutUint64(hdr[0:8], call.seq)
-			hdr[8] = call.op
-			binary.LittleEndian.PutUint32(hdr[9:13], uint32(len(call.key)))
-			binary.LittleEndian.PutUint32(hdr[13:17], uint32(len(call.val)))
-			if _, err := w.Write(hdr[:]); err != nil {
-				return err
-			}
-			if _, err := w.Write(call.key); err != nil {
-				return err
-			}
-			if _, err := w.Write(call.val); err != nil {
-				return err
-			}
-		}
-	}
-	if !wrote {
-		return nil
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	if c.opts.Timeout > 0 {
-		conn.SetWriteDeadline(time.Time{})
+		err := c.writeBatch(conn, w, batch, last)
 		c.mu.Lock()
-		pending := len(c.inflight)
-		c.mu.Unlock()
-		if pending > 0 {
-			conn.SetReadDeadline(time.Now().Add(c.opts.Timeout))
+		if err != nil {
+			c.breakLocked(conn)
 		}
 	}
-	return nil
+	c.writing = false
+	c.mu.Unlock()
 }
 
-// takeBatch moves a prefix of the queue into the in-flight table,
+// takeBatchLocked moves a prefix of the queue into the in-flight table,
 // bounded by BatchBytes and maxBatchOps. A single request larger than
 // BatchBytes forms its own batch (individual requests are already
-// bounded by maxFrame).
-func (c *PipelinedClient) takeBatch() []*pcall {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.queue) == 0 {
-		return nil
-	}
+// bounded by maxFrame). Requests move to the in-flight table before
+// their bytes hit the wire so a reader can match early responses. The
+// returned slice is the writer role's scratch. Caller holds c.mu.
+func (c *PipelinedClient) takeBatchLocked() []*pcall {
 	n, size := 0, 0
 	for _, call := range c.queue {
-		sz := reqHdrLen + len(call.key) + len(call.val)
+		sz := call.size()
 		if n > 0 && (size+sz > c.opts.BatchBytes || n == maxBatchOps) {
 			break
 		}
@@ -491,9 +390,11 @@ func (c *PipelinedClient) takeBatch() []*pcall {
 			break
 		}
 	}
-	batch := make([]*pcall, n)
-	copy(batch, c.queue[:n])
-	for _, call := range batch {
+	c.batch = append(c.batch[:0], c.queue[:n]...)
+	rest := copy(c.queue, c.queue[n:])
+	clear(c.queue[rest:])
+	c.queue = c.queue[:rest]
+	for _, call := range c.batch {
 		c.inflight[call.seq] = call
 		if call.tc != nil {
 			// Queue stage ends at the batch cut; everything from here to
@@ -503,87 +404,111 @@ func (c *PipelinedClient) takeBatch() []*pcall {
 			call.flushed = now
 		}
 	}
-	if n == len(c.queue) {
-		c.queue = nil
-	} else {
-		c.queue = c.queue[n:]
-	}
-	return batch
+	return c.batch
 }
 
-// requeueInflight moves unanswered in-flight requests back to the front
-// of the queue, in sequence order, for retransmission on the next
-// connection. The server must observe ascending sequence numbers, and
-// every queued request carries a later sequence number than any
-// in-flight one (batches are taken from the queue front).
-func (c *PipelinedClient) requeueInflight() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.inflight) == 0 {
-		return
+// writeBatch encodes batch as one frame into w, and flushes w when
+// flush is set.
+func (c *PipelinedClient) writeBatch(conn net.Conn, w *bufio.Writer, batch []*pcall, flush bool) error {
+	c.batches.Add(1)
+	if c.opts.Timeout > 0 {
+		conn.SetWriteDeadline(time.Now().Add(c.opts.Timeout))
 	}
-	calls := make([]*pcall, 0, len(c.inflight))
-	for seq, call := range c.inflight {
-		if call.tc != nil {
-			// The dead connection's unanswered window counts as wire
-			// time; queue accounting restarts at the requeue.
-			now := call.tc.Now()
-			call.tc.Add(tracing.StageWire, now-call.flushed)
-			call.enq = now
+	payload := 0
+	for _, call := range batch {
+		payload += call.size()
+	}
+	if _, err := w.Write(appendBatchHeader(w.AvailableBuffer(), len(batch), payload)); err != nil {
+		return err
+	}
+	for _, call := range batch {
+		// Key and value go straight from the caller's slices: a large
+		// value is written through, never copied into a frame buffer.
+		if _, err := w.Write(appendRequestHeader(w.AvailableBuffer(), call.request)); err != nil {
+			return err
 		}
-		calls = append(calls, call)
-		delete(c.inflight, seq)
+		if _, err := w.Write(call.key); err != nil {
+			return err
+		}
+		if _, err := w.Write(call.val); err != nil {
+			return err
+		}
 	}
-	sort.Slice(calls, func(i, j int) bool { return calls[i].seq < calls[j].seq })
-	c.queue = append(calls, c.queue...)
+	if !flush {
+		return nil
+	}
+	return w.Flush()
 }
 
-// failPending fails every accepted-but-unanswered operation with a
-// transient, outcome-unknown error: requests may or may not have been
-// applied by the server.
-func (c *PipelinedClient) failPending(cause error) {
-	err := kv.UnknownOutcomeError(kv.TransientError(
-		fmt.Errorf("remote: pipeline failed after %d attempts: %w", c.opts.Redials+1, cause)))
-	c.drainPending(presult{status: statusError, err: err}, true)
-}
-
-// failAll fails pending operations at shutdown.
-func (c *PipelinedClient) failAll(cause error) {
-	c.drainPending(presult{status: statusError, err: cause}, false)
-}
-
-func (c *PipelinedClient) drainPending(res presult, countFailures bool) {
+// read holds the reader role for own's caller: it reads responses off
+// the live connection and completes their calls, in whatever order the
+// server sends them, until own is complete; then it passes the role on
+// and reports true. With no live connection it parks the role until the
+// next one, takes the writer role to re-dial, and reports false.
+func (c *PipelinedClient) read(own *pcall) bool {
 	c.mu.Lock()
-	calls := make([]*pcall, 0, len(c.queue)+len(c.inflight))
-	calls = append(calls, c.queue...)
-	c.queue = nil
-	for seq, call := range c.inflight {
-		calls = append(calls, call)
-		delete(c.inflight, seq)
+	for len(own.done) == 0 {
+		conn, r := c.conn, c.r
+		if conn == nil {
+			c.parked = true
+			c.mu.Unlock()
+			c.write()
+			return false
+		}
+		c.mu.Unlock()
+		if c.opts.Timeout > 0 {
+			conn.SetReadDeadline(time.Now().Add(c.opts.Timeout))
+		}
+		seq, rsp, err := readResponse(r, c.opts.Traced)
+		c.mu.Lock()
+		if errors.Is(err, ErrFrameTooLarge) {
+			// Protocol violation: fail the addressed request outright (a
+			// replay would be oversized again) and drop the connection.
+			c.completeLocked(conn, seq, presult{err: err}, 0)
+		}
+		if err != nil {
+			c.breakLocked(conn)
+			continue
+		}
+		c.completeLocked(conn, seq, presult{status: rsp.status, out: rsp.payload}, rsp.end-rsp.start)
 	}
 	c.mu.Unlock()
-	for _, call := range calls {
-		if countFailures {
-			c.failures.Add(1)
-		}
-		call.done <- res
-	}
+	c.readTurn <- struct{}{}
+	return true
 }
 
-// roundTrip submits one operation to the pipeline and waits for its
-// response. A non-nil trace context attributes the op's queue, wire,
-// and server stages; the queue stage starts here, so pipeline
-// backpressure (waiting for an in-flight slot) counts as queue time.
+// completeLocked delivers the response to seq read off conn. A response
+// nobody awaits on conn — its request was requeued, or conn has been
+// retired — is dropped: the retransmission is answered again. serverDur
+// is the server's handle window, subtracted from the flush→delivery
+// window so wire and server stay disjoint. Caller holds c.mu.
+func (c *PipelinedClient) completeLocked(conn net.Conn, seq uint64, res presult, serverDur int64) {
+	call, ok := c.inflight[seq]
+	if !ok || c.conn != conn {
+		return
+	}
+	delete(c.inflight, seq)
+	if res.err == nil {
+		c.got = true
+		if call.tc != nil {
+			call.tc.Add(tracing.StageServer, serverDur)
+			call.tc.Add(tracing.StageWire, call.tc.Now()-call.flushed-serverDur)
+		}
+	}
+	call.finish(res)
+}
+
+// roundTrip submits one operation and waits for its response, writing
+// and reading on the connection itself whenever no other caller is. A
+// non-nil trace context attributes the op's queue, wire, and server
+// stages; the queue stage starts here, so pipeline backpressure
+// (waiting for an in-flight slot) counts as queue time.
 func (c *PipelinedClient) roundTrip(tc *tracing.Ctx, op byte, key, val []byte) ([]byte, byte, error) {
 	if reqHdrLen+len(key)+len(val) > maxFrame {
 		return nil, statusError, ErrFrameTooLarge
 	}
 	enq := tc.Now()
-	select {
-	case c.slots <- struct{}{}:
-	case <-c.closeCh:
-		return nil, statusError, kv.ErrClosed
-	}
+	c.slots <- struct{}{}
 	defer func() { <-c.slots }()
 	c.mu.Lock()
 	if c.closed {
@@ -591,23 +516,38 @@ func (c *PipelinedClient) roundTrip(tc *tracing.Ctx, op byte, key, val []byte) (
 		return nil, statusError, kv.ErrClosed
 	}
 	c.seq++
-	call := &pcall{seq: c.seq, op: op, key: key, val: val, done: make(chan presult, 1), tc: tc, enq: enq}
+	call := &pcall{
+		request: request{seq: c.seq, op: op, key: key, val: val},
+		done:    make(chan struct{}, 1),
+		tc:      tc,
+		enq:     enq,
+	}
 	c.queue = append(c.queue, call)
 	c.mu.Unlock()
 	c.requests.Add(1)
 	c.inflightG.Add(1)
-	select {
-	case c.kick <- struct{}{}:
-	default:
+	defer c.inflightG.Add(-1)
+	c.write()
+	for {
+		// A lone caller finds the reader role free and skips the
+		// two-way select.
+		select {
+		case <-c.readTurn:
+		default:
+			select {
+			case <-call.done:
+				return call.res.out, call.res.status, call.res.err
+			case <-c.readTurn:
+			}
+		}
+		if c.read(call) {
+			return call.res.out, call.res.status, call.res.err
+		}
 	}
-	res := <-call.done
-	c.inflightG.Add(-1)
-	return res.out, res.status, res.err
 }
 
 // Metrics implements kv.Introspector: client-side transport counters
-// under "remote.*", including the v3 pipeline's batch and in-flight
-// accounting.
+// under "remote.*", including batch and in-flight accounting.
 func (c *PipelinedClient) Metrics() map[string]int64 {
 	return map[string]int64{
 		"remote.requests":  int64(c.requests.Load()),
@@ -676,14 +616,18 @@ func (c *PipelinedClient) Delete(key []byte) error {
 }
 
 // ScanRange implements kv.RangeScanner with a single server-side scan
-// frame, like Client.ScanRange.
+// request: the server walks [lo, hi] against its engine's snapshot and
+// returns the serialized entry list, so consistency is the server
+// engine's.
 func (c *PipelinedClient) ScanRange(lo, hi kv.StateKey) ([]kv.Entry, error) {
 	res, err := c.DoTraced(nil, kv.TracedOp{Op: kv.OpScan, Lo: lo, Hi: hi})
 	return res.Entries, err
 }
 
-// Snapshot implements kv.Snapshotter via the stop-the-world fallback,
-// like Client.Snapshot.
+// Snapshot implements kv.Snapshotter via the stop-the-world fallback: a
+// full-range ScanRange materialized into a kv.FallbackSnapshot, which
+// costs one full keyspace transfer; Caps().Snapshots is false
+// accordingly.
 func (c *PipelinedClient) Snapshot() (kv.Snapshot, error) {
 	entries, err := c.ScanRange(kv.StateKey{}, kv.MaxStateKey)
 	if err != nil {
@@ -695,17 +639,20 @@ func (c *PipelinedClient) Snapshot() (kv.Snapshot, error) {
 	return snap, nil
 }
 
-// Close shuts the pipeline down: pending operations fail with
-// kv.ErrClosed and the connection is torn down.
+// Close shuts the client down: pending operations fail with
+// kv.ErrClosed, and closing the connection returns a caller blocked
+// reading it.
 func (c *PipelinedClient) Close() error {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.closed {
-		c.mu.Unlock()
 		return nil
 	}
 	c.closed = true
-	c.mu.Unlock()
-	close(c.closeCh)
-	<-c.loopDone
+	if c.conn != nil {
+		c.conn.Close()
+		c.conn, c.w, c.r = nil, nil, nil
+	}
+	c.drainLocked(presult{status: statusError, err: kv.ErrClosed})
 	return nil
 }

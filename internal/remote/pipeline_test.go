@@ -1,14 +1,17 @@
 package remote
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -95,8 +98,8 @@ func TestPipelineConcurrentWorkers(t *testing.T) {
 }
 
 // slowConn delays each Write, modelling a high-latency link. While the
-// writer goroutine sleeps inside Write, concurrent callers keep
-// enqueueing — so the next batch must carry several of them.
+// caller holding the writer role sleeps inside Write, concurrent callers
+// keep enqueueing — so the next batch must carry several of them.
 type slowConn struct {
 	net.Conn
 	delay time.Duration
@@ -167,12 +170,13 @@ func TestPipelineOutOfOrderResponses(t *testing.T) {
 			return
 		}
 		defer conn.Close()
+		r := bufio.NewReader(conn)
 		hello := make([]byte, helloLen)
-		if _, err := io.ReadFull(conn, hello); err != nil {
+		if _, err := io.ReadFull(r, hello); err != nil {
 			return
 		}
 		for {
-			reqs, err := readBatch(conn)
+			reqs, err := readBatch(r)
 			if err != nil {
 				return
 			}
@@ -285,33 +289,7 @@ func TestPipelineReconnectExactlyOnceMerges(t *testing.T) {
 	}
 }
 
-// One server must serve v2 and v3 clients side by side over the same
-// backing store.
-func TestV2AndV3ClientsShareServer(t *testing.T) {
-	srv, v3, backing := startPipelinePair(t, PipelineOptions{})
-	v2, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v2.Close()
-	if err := v2.Put([]byte("from-v2"), []byte("a")); err != nil {
-		t.Fatal(err)
-	}
-	if err := v3.Put([]byte("from-v3"), []byte("b")); err != nil {
-		t.Fatal(err)
-	}
-	if v, err := v3.Get([]byte("from-v2")); err != nil || string(v) != "a" {
-		t.Fatalf("v3 read of v2 write = %q, %v", v, err)
-	}
-	if v, err := v2.Get([]byte("from-v3")); err != nil || string(v) != "b" {
-		t.Fatalf("v2 read of v3 write = %q, %v", v, err)
-	}
-	if v, err := backing.Get([]byte("from-v3")); err != nil || string(v) != "b" {
-		t.Fatalf("backing = %q, %v", v, err)
-	}
-}
-
-// ScanRange and Snapshot work over the pipeline like they do over v2.
+// ScanRange and Snapshot work over the pipeline.
 func TestPipelineScanAndSnapshot(t *testing.T) {
 	_, cli, _ := startPipelinePair(t, PipelineOptions{})
 	for i := 0; i < 10; i++ {
@@ -458,13 +436,239 @@ func TestPipelineServerPanicRecovery(t *testing.T) {
 	}
 }
 
+// reversingProxy relays connections to target and answers every batch
+// with its responses in reverse order, so a caller holding the reader
+// role completes other callers' requests before — or instead of — its
+// own. The accept loop ends at test cleanup; each relay ends when either
+// side hangs up.
+func reversingProxy(t *testing.T, target string) string {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			client, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go relayReversed(client, target)
+		}
+	}()
+	return ln.Addr().String()
+}
+
+func relayReversed(client net.Conn, target string) {
+	defer client.Close()
+	server, err := net.Dial("tcp", target)
+	if err != nil {
+		return
+	}
+	defer server.Close()
+	cr := bufio.NewReader(client)
+	hello := make([]byte, helloLen)
+	if _, err := io.ReadFull(cr, hello); err != nil {
+		return
+	}
+	if _, err := server.Write(hello); err != nil {
+		return
+	}
+	// One entry per forwarded batch; at most Depth ≤ maxPipelineDepth
+	// batches are unanswered at once, so the sender never blocks.
+	counts := make(chan int, maxPipelineDepth)
+	go func() {
+		defer close(counts)
+		for {
+			reqs, err := readBatch(cr)
+			if err != nil {
+				return
+			}
+			counts <- len(reqs)
+			if _, err := server.Write(appendBatch(nil, reqs)); err != nil {
+				return
+			}
+		}
+	}()
+	r, w := bufio.NewReader(server), bufio.NewWriter(client)
+	for n := range counts {
+		seqs := make([]uint64, n)
+		rsps := make([]response, n)
+		for i := range rsps {
+			if seqs[i], rsps[i], err = readResponse(r, false); err != nil {
+				return
+			}
+		}
+		for i := n - 1; i >= 0; i-- {
+			writeResponse(w, seqs[i], rsps[i], false)
+		}
+		if w.Flush() != nil {
+			return
+		}
+	}
+}
+
+// waitGoroutines waits for the goroutine count to fall back to want:
+// server handlers and proxy relays exit asynchronously once the client
+// hangs up, and the client itself must have started none. (The count
+// may end lower: an earlier test's handler can still have been exiting
+// when want was taken.)
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > want {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("%d goroutines after Close, %d before dialing:\n%s", got, want, buf[:runtime.Stack(buf, true)])
+	}
+}
+
+// The writer and reader roles pass between concurrent callers while
+// responses arrive out of order and connections die mid-frame: every op
+// completes exactly once, every merge operand is applied exactly once,
+// nothing stays in flight, and no goroutine outlives Close. Run it under
+// -race -count=10 (see ci.sh).
+func TestPipelineRoleHandoff(t *testing.T) {
+	backing := memstore.New()
+	srv, err := Serve(backing, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { srv.Close(); backing.Close() }()
+	addr := reversingProxy(t, srv.Addr())
+
+	budgets := make([]int, 24)
+	for i := range budgets {
+		budgets[i] = 40 + 97*i%600
+	}
+	before := runtime.NumGoroutine()
+	cli, err := DialPipeline(addr, PipelineOptions{Dialer: flakyDialer(budgets), Redials: 40, Depth: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, perWorker = 8, 60
+	var completed [workers][perWorker]atomic.Int32
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			key := []byte(fmt.Sprintf("h%d", w%3)) // callers share keys
+			for i := 0; i < perWorker; i++ {
+				err := cli.Merge(key, []byte(fmt.Sprintf("<%d:%d>", w, i)))
+				completed[w][i].Add(1)
+				if err != nil {
+					t.Errorf("Merge %d/%d: %v", w, i, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if t.Failed() {
+		cli.Close()
+		return
+	}
+	for w := range completed {
+		for i := range completed[w] {
+			if n := completed[w][i].Load(); n != 1 {
+				t.Fatalf("op %d/%d returned %d times", w, i, n)
+			}
+		}
+	}
+	var all strings.Builder
+	for k := 0; k < 3; k++ {
+		v, err := backing.Get([]byte(fmt.Sprintf("h%d", k)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		all.Write(v)
+	}
+	for w := 0; w < workers; w++ {
+		for i := 0; i < perWorker; i++ {
+			if n := strings.Count(all.String(), fmt.Sprintf("<%d:%d>", w, i)); n != 1 {
+				t.Fatalf("operand <%d:%d> applied %d times", w, i, n)
+			}
+		}
+	}
+	m := cli.Metrics()
+	if m["remote.inflight"] != 0 {
+		t.Fatalf("remote.inflight = %d at quiesce", m["remote.inflight"])
+	}
+	if m["remote.redials"] == 0 {
+		t.Fatal("test exercised no reconnects")
+	}
+	cli.Close()
+	waitGoroutines(t, before)
+}
+
+// blockedReadConn reports the first Read it is asked to do.
+type blockedReadConn struct {
+	net.Conn
+	once    sync.Once
+	reading chan struct{}
+}
+
+func (b *blockedReadConn) Read(p []byte) (int, error) {
+	b.once.Do(func() { close(b.reading) })
+	return b.Conn.Read(p)
+}
+
+// Close must return a caller that holds the reader role and is blocked
+// reading a connection whose server never answers, with kv.ErrClosed.
+func TestPipelineCloseWakesReader(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				io.Copy(io.Discard, conn) // swallow everything, answer nothing
+				conn.Close()
+			}()
+		}
+	}()
+	before := runtime.NumGoroutine()
+	conn := &blockedReadConn{reading: make(chan struct{})}
+	cli, err := DialPipeline(ln.Addr().String(), PipelineOptions{
+		Dialer: func(addr string) (net.Conn, error) {
+			c, err := net.Dial("tcp", addr)
+			conn.Conn = c
+			return conn, err
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	errc := make(chan error, 1)
+	go func() { errc <- cli.Put([]byte("k"), []byte("v")) }()
+	<-conn.reading
+	cli.Close()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, kv.ErrClosed) {
+			t.Fatalf("blocked reader returned %v, want kv.ErrClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close left the reader blocked")
+	}
+	waitGoroutines(t, before)
+}
+
 // BenchmarkPipelinedRoundTrip is one 256-byte Get per iteration against
 // a loopback memstore server. parallel shares a default-depth client
 // between GOMAXPROCS callers, the shape the pipeline is built for.
-// serial is one synchronous caller at Depth 1 — what would stand in for
-// the v2 Client — so its distance from BenchmarkRemoteRoundTrip is the
-// lone-caller price of v3's writer and reader goroutines, the number
-// that gates v2's removal.
+// serial is one synchronous caller at Depth 1, which writes its own
+// request and reads its own response: the lone-caller round trip, the
+// floor every remote op pays.
 func BenchmarkPipelinedRoundTrip(b *testing.B) {
 	for _, mode := range []struct {
 		name string

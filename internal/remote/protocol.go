@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,8 +10,8 @@ import (
 	"gadget/internal/kv"
 )
 
-// Wire-level constants shared by both protocol versions. See the package
-// comment for the frame layouts.
+// Wire-level constants shared by both ends. See the package comment for
+// the frame layouts.
 const (
 	opGet byte = iota
 	opPut
@@ -28,43 +29,41 @@ const (
 	statusTransient byte = 3
 
 	protoMagic uint32 = 0x74676467 // "gdgt"
-	protoV2    byte   = 2
 	protoV3    byte   = 3
 
 	// The hello version byte carries the protocol version in its low
 	// seven bits plus a trace-negotiation flag in the top bit: a client
 	// setting helloTraceFlag asks the server to append a fixed
 	// traceTrailerLen-byte trailer (handle-start, handle-end — both
-	// server-monotonic nanoseconds) after every v3 response payload.
-	// Untagged v3 and v2 clients are served byte-identically to before,
-	// so trace bytes only flow where both ends understand them.
+	// server-monotonic nanoseconds) after every response payload.
+	// Untagged clients are served byte-identically, so trace bytes only
+	// flow where both ends understand them.
 	helloVersionMask byte = 0x7f
 	helloTraceFlag   byte = 0x80
 
 	helloLen    = 13
 	reqHdrLen   = 17
-	rspHdrLen   = 5  // v2: status u8 | valLen u32
-	batchHdrLen = 8  // v3: count u32 | payloadLen u32
-	rsp3HdrLen  = 13 // v3: seq u64 | status u8 | valLen u32
+	batchHdrLen = 8  // count u32 | payloadLen u32
+	rsp3HdrLen  = 13 // seq u64 | status u8 | valLen u32
 
 	// traceTrailerLen is the fixed response-trailer extension on traced
-	// v3 connections: handle-start u64 | handle-end u64 (server
+	// connections: handle-start u64 | handle-end u64 (server
 	// monotonic ns). Only the difference is meaningful to the client, so
 	// client and server clock domains never mix.
 	traceTrailerLen = 16
 	maxBatchOps     = 65536
-	replayWindow    = 4096 // cached responses per session; bounds v3 pipeline depth
+	replayWindow    = 4096 // cached responses per session; bounds pipeline depth
 
 	// maxFrame bounds key, value, and response payload length; both ends
-	// enforce it symmetrically with ErrFrameTooLarge. Under v3 it also
-	// bounds a whole batch payload, so a single request record (header +
-	// key + value) must fit in maxFrame.
+	// enforce it symmetrically with ErrFrameTooLarge. It also bounds a
+	// whole batch payload, so a single request record (header + key +
+	// value) must fit in maxFrame.
 	maxFrame = 64 << 20
 
 	// maxSessions bounds the server's reconnect-replay session table.
 	maxSessions = 4096
 
-	// maxPipelineDepth caps a v3 client's in-flight window. It must stay
+	// maxPipelineDepth caps a client's in-flight window. It must stay
 	// well under replayWindow so a reconnecting client's full
 	// retransmission is always answerable from the server's cache.
 	maxPipelineDepth = 1024
@@ -80,8 +79,7 @@ var (
 	ErrProtocol = errors.New("remote: protocol error")
 )
 
-// request is one decoded request record, identical between v2 (one per
-// frame) and v3 (many per batch frame).
+// request is one request record of a batch frame.
 type request struct {
 	seq      uint64
 	op       byte
@@ -90,6 +88,14 @@ type request struct {
 
 // size returns the encoded length of the record.
 func (q request) size() int { return reqHdrLen + len(q.key) + len(q.val) }
+
+// response is one response record's status and payload and, on a
+// traced connection, the server's handle stamps (0,0 when untraced).
+type response struct {
+	status     byte
+	start, end int64 // server-monotonic handle stamps
+	payload    []byte
+}
 
 // encodeOp returns the wire form of op: its op code and the key and
 // value fields of its request record. A scan carries both bounds in the
@@ -171,37 +177,49 @@ func decodeTraceTrailer(b []byte) (start, end int64, err error) {
 	return start, end, nil
 }
 
-// appendRequest appends one request record (the shared v2/v3 layout).
-func appendRequest(dst []byte, q request) []byte {
+// appendRequestHeader appends the fixed-size head of q's record; the key
+// and value bytes follow it on the wire.
+func appendRequestHeader(dst []byte, q request) []byte {
 	var hdr [reqHdrLen]byte
 	binary.LittleEndian.PutUint64(hdr[0:8], q.seq)
 	hdr[8] = q.op
 	binary.LittleEndian.PutUint32(hdr[9:13], uint32(len(q.key)))
 	binary.LittleEndian.PutUint32(hdr[13:17], uint32(len(q.val)))
-	dst = append(dst, hdr[:]...)
+	return append(dst, hdr[:]...)
+}
+
+// appendRequest appends one whole request record.
+func appendRequest(dst []byte, q request) []byte {
+	dst = appendRequestHeader(dst, q)
 	dst = append(dst, q.key...)
 	return append(dst, q.val...)
 }
 
-// appendBatch appends a v3 batch frame carrying reqs. The caller must
-// have bounded the batch (see batchFits): count ≤ maxBatchOps and total
-// payload ≤ maxFrame.
+// appendBatchHeader appends the header of a batch frame carrying count
+// records of payload bytes in total. The caller must have bounded the
+// batch: count ≤ maxBatchOps and payload ≤ maxFrame.
+func appendBatchHeader(dst []byte, count, payload int) []byte {
+	var hdr [batchHdrLen]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(count))
+	binary.LittleEndian.PutUint32(hdr[4:8], uint32(payload))
+	return append(dst, hdr[:]...)
+}
+
+// appendBatch appends a whole batch frame carrying reqs, bounded as for
+// appendBatchHeader.
 func appendBatch(dst []byte, reqs []request) []byte {
 	payload := 0
 	for _, q := range reqs {
 		payload += q.size()
 	}
-	var hdr [batchHdrLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(reqs)))
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(payload))
-	dst = append(dst, hdr[:]...)
+	dst = appendBatchHeader(dst, len(reqs), payload)
 	for _, q := range reqs {
 		dst = appendRequest(dst, q)
 	}
 	return dst
 }
 
-// decodeBatchPayload parses the payload of a v3 batch frame that
+// decodeBatchPayload parses the payload of a batch frame that
 // declared count records. It rejects trailing garbage, truncated
 // records, and length fields overrunning the payload; request key/value
 // slices alias b.
@@ -232,15 +250,18 @@ func decodeBatchPayload(b []byte, count int) ([]request, error) {
 	return reqs, nil
 }
 
-// readBatch reads one v3 batch frame: header, bounds checks, payload,
+// readBatch reads one batch frame: header, bounds checks, payload,
 // records. Returned request slices alias the returned payload buffer.
-func readBatch(r io.Reader) ([]request, error) {
-	var hdr [batchHdrLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// Headers are decoded in place in r's buffer (Peek, then Discard), so
+// reading one allocates nothing.
+func readBatch(r *bufio.Reader) ([]request, error) {
+	hdr, err := r.Peek(batchHdrLen)
+	if err != nil {
 		return nil, err
 	}
 	count := binary.LittleEndian.Uint32(hdr[0:4])
 	payloadLen := binary.LittleEndian.Uint32(hdr[4:8])
+	r.Discard(batchHdrLen)
 	if count == 0 || count > maxBatchOps {
 		return nil, fmt.Errorf("%w: batch count %d", ErrProtocol, count)
 	}
@@ -255,6 +276,60 @@ func readBatch(r io.Reader) ([]request, error) {
 		return nil, err
 	}
 	return decodeBatchPayload(payload, int(count))
+}
+
+// writeResponse buffers one sequence-tagged response; the server
+// flushes at batch boundaries. The valLen header field counts only the
+// payload — the trace trailer is a fixed-size extension the traced
+// client knows to expect after it.
+func writeResponse(w *bufio.Writer, seq uint64, rsp response, traced bool) bool {
+	hdr := binary.LittleEndian.AppendUint64(w.AvailableBuffer(), seq)
+	hdr = append(hdr, rsp.status)
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(rsp.payload)))
+	if _, err := w.Write(hdr); err != nil {
+		return false
+	}
+	if _, err := w.Write(rsp.payload); err != nil {
+		return false
+	}
+	if traced {
+		if _, err := w.Write(appendTraceTrailer(w.AvailableBuffer(), rsp.start, rsp.end)); err != nil {
+			return false
+		}
+	}
+	return true
+}
+
+// readResponse reads one response written by writeResponse, decoding
+// its header and trailer in place like readBatch. A payload length over
+// maxFrame fails with ErrFrameTooLarge, still reporting the sequence
+// number it answers.
+func readResponse(r *bufio.Reader, traced bool) (seq uint64, rsp response, err error) {
+	hdr, err := r.Peek(rsp3HdrLen)
+	if err != nil {
+		return 0, rsp, err
+	}
+	seq = binary.LittleEndian.Uint64(hdr[0:8])
+	rsp.status = hdr[8]
+	n := binary.LittleEndian.Uint32(hdr[9:13])
+	r.Discard(rsp3HdrLen)
+	if n > maxFrame {
+		return seq, rsp, fmt.Errorf("%w: %d-byte response", ErrFrameTooLarge, n)
+	}
+	rsp.payload = make([]byte, n)
+	if _, err := io.ReadFull(r, rsp.payload); err != nil {
+		return seq, rsp, err
+	}
+	if traced {
+		tr, err := r.Peek(traceTrailerLen)
+		if err != nil {
+			return seq, rsp, err
+		}
+		rsp.start, rsp.end, err = decodeTraceTrailer(tr)
+		r.Discard(traceTrailerLen)
+		return seq, rsp, err
+	}
+	return seq, rsp, nil
 }
 
 // encodeEntries serializes a scan result as repeated

@@ -1,10 +1,11 @@
 package remote
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,7 +17,10 @@ import (
 	"gadget/internal/replay"
 )
 
-func startPair(t *testing.T) (*Server, *Client, *memstore.Store) {
+// startPair serves a fresh memstore and dials it with Depth 1: one
+// synchronous caller that writes its own request and reads its own
+// response.
+func startPair(t *testing.T) (*Server, *PipelinedClient, *memstore.Store) {
 	t.Helper()
 	backing := memstore.New()
 	srv, err := Serve(backing, "127.0.0.1:0")
@@ -24,7 +28,7 @@ func startPair(t *testing.T) (*Server, *Client, *memstore.Store) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close(); backing.Close() })
-	cli, err := Dial(srv.Addr())
+	cli, err := DialPipeline(srv.Addr(), PipelineOptions{Depth: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +98,7 @@ func TestManyClients(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			cli, err := Dial(srv.Addr())
+			cli, err := DialPipeline(srv.Addr(), PipelineOptions{})
 			if err != nil {
 				t.Error(err)
 				return
@@ -116,11 +120,19 @@ func TestManyClients(t *testing.T) {
 	wg.Wait()
 }
 
+// Closing a client that never issued an operation fails every later
+// operation, of every kind, with kv.ErrClosed.
 func TestClientAfterClose(t *testing.T) {
 	_, cli, _ := startPair(t)
 	cli.Close()
 	if err := cli.Put([]byte("k"), nil); !errors.Is(err, kv.ErrClosed) {
 		t.Fatalf("Put after close = %v", err)
+	}
+	if _, err := cli.Get([]byte("k")); !errors.Is(err, kv.ErrClosed) {
+		t.Fatalf("Get after close = %v", err)
+	}
+	if _, err := cli.ScanRange(kv.StateKey{}, kv.MaxStateKey); !errors.Is(err, kv.ErrClosed) {
+		t.Fatalf("ScanRange after close = %v", err)
 	}
 	if err := cli.Close(); err != nil {
 		t.Fatalf("double close = %v", err)
@@ -143,7 +155,7 @@ func TestBackendErrorsPropagate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	cli, err := Dial(srv.Addr())
+	cli, err := DialPipeline(srv.Addr(), PipelineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +193,7 @@ func TestExternalStateWorkload(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			cli, err := Dial(srv.Addr())
+			cli, err := DialPipeline(srv.Addr(), PipelineOptions{})
 			if err != nil {
 				t.Error(err)
 				return
@@ -283,8 +295,9 @@ func flakyDialer(budgets []int) func(addr string) (net.Conn, error) {
 	}
 }
 
-// A single I/O error must not poison the connection: the client redials
-// and the operation stream continues.
+// A single I/O error must not poison the connection: a lone caller —
+// writer, reader and redialer at once — redials and the operation
+// stream continues.
 func TestClientSurvivesMidFrameDisconnect(t *testing.T) {
 	backing := memstore.New()
 	srv, err := Serve(backing, "127.0.0.1:0")
@@ -293,11 +306,13 @@ func TestClientSurvivesMidFrameDisconnect(t *testing.T) {
 	}
 	defer func() { srv.Close(); backing.Close() }()
 
-	// Budgets chosen to kill connections at assorted points: during the
-	// hello, mid-request-header, mid-payload, and mid-response.
-	cli, err := DialOptions(srv.Addr(), ClientOptions{
-		Dialer:  flakyDialer([]int{5, 20, 40, 70, 150}),
+	// Budgets (bytes read plus written) kill connections during the
+	// 13-byte hello, in the first Put's batch header (8 bytes) and in its
+	// 17-byte record header, in its key, and in the response header.
+	cli, err := DialPipeline(srv.Addr(), PipelineOptions{
+		Dialer:  flakyDialer([]int{5, 20, 30, 40, 50, 150}),
 		Redials: 6,
+		Depth:   1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -313,10 +328,14 @@ func TestClientSurvivesMidFrameDisconnect(t *testing.T) {
 			t.Fatalf("Get %d = %q, %v", i, v, err)
 		}
 	}
+	if cli.Metrics()["remote.redials"] == 0 {
+		t.Fatal("test exercised no reconnects")
+	}
 }
 
-// Reconnect replay must be exactly-once: merges driven through failing
-// connections appear in the backing store exactly once each.
+// Reconnect replay must be exactly-once: merges a lone caller drives
+// through failing connections appear in the backing store exactly once
+// each.
 func TestReconnectReplayExactlyOnceMerges(t *testing.T) {
 	backing := memstore.New()
 	srv, err := Serve(backing, "127.0.0.1:0")
@@ -325,13 +344,13 @@ func TestReconnectReplayExactlyOnceMerges(t *testing.T) {
 	}
 	defer func() { srv.Close(); backing.Close() }()
 
-	// Fail every other connection after a small budget, so many ops are
+	// Fail the first 40 connections after a small budget, so many ops are
 	// interrupted after the request was (fully or partially) sent.
 	budgets := make([]int, 40)
 	for i := range budgets {
 		budgets[i] = 30 + 13*i%90
 	}
-	cli, err := DialOptions(srv.Addr(), ClientOptions{Dialer: flakyDialer(budgets), Redials: 8})
+	cli, err := DialPipeline(srv.Addr(), PipelineOptions{Dialer: flakyDialer(budgets), Redials: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +383,7 @@ func TestTransientStatusPropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { srv.Close(); backing.Close() }()
-	cli, err := Dial(srv.Addr())
+	cli, err := DialPipeline(srv.Addr(), PipelineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,6 +406,24 @@ type panicStore struct{ *memstore.Store }
 
 func (p *panicStore) Merge(key, operand []byte) error { panic("merge exploded") }
 
+// rawConn dials srv and sends a hello with the given version byte.
+func rawConn(t *testing.T, srv *Server, version byte) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Write(appendHello(nil, version, 7)); err != nil {
+		t.Fatal(err)
+	}
+	return conn
+}
+
+// An engine panic inside a batch fails that request alone: the rest of
+// the same batch is applied and answered, in order, on the same
+// connection.
 func TestServerPanicRecovery(t *testing.T) {
 	backing := &panicStore{memstore.New()}
 	srv, err := Serve(backing, "127.0.0.1:0")
@@ -394,40 +431,60 @@ func TestServerPanicRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { srv.Close(); backing.Close() }()
-	cli, err := Dial(srv.Addr())
-	if err != nil {
+	conn := rawConn(t, srv, protoV3)
+	batch := appendBatch(nil, []request{
+		{seq: 1, op: opMerge, key: []byte("k"), val: []byte("x")},
+		{seq: 2, op: opPut, key: []byte("k"), val: []byte("v")},
+		{seq: 3, op: opGet, key: []byte("k")},
+	})
+	if _, err := conn.Write(batch); err != nil {
 		t.Fatal(err)
 	}
-	defer cli.Close()
-	if err := cli.Merge([]byte("k"), []byte("x")); err == nil {
-		t.Fatal("panicking op should error")
-	}
-	// The connection must still work.
-	if err := cli.Put([]byte("k"), []byte("v")); err != nil {
-		t.Fatalf("connection poisoned by panic: %v", err)
-	}
-	if v, err := cli.Get([]byte("k")); err != nil || string(v) != "v" {
-		t.Fatalf("Get = %q, %v", v, err)
+	r := bufio.NewReader(conn)
+	want := []struct {
+		status  byte
+		payload string
+	}{{statusError, "store panic: merge exploded"}, {statusOK, ""}, {statusOK, "v"}}
+	for i, w := range want {
+		seq, rsp, err := readResponse(r, false)
+		if err != nil {
+			t.Fatalf("response %d: %v (connection poisoned by panic)", i, err)
+		}
+		if seq != uint64(i+1) || rsp.status != w.status || !strings.Contains(string(rsp.payload), w.payload) {
+			t.Fatalf("response %d = seq %d status %d %q, want seq %d status %d %q",
+				i, seq, rsp.status, rsp.payload, i+1, w.status, w.payload)
+		}
 	}
 }
 
-// Oversized frames are refused symmetrically with a typed error, without
-// killing the connection on the client side.
+// A batch frame declaring a payload over maxFrame is refused before any
+// of it is read: the server counts it, drops the connection without
+// answering, applies nothing, and keeps serving other clients.
 func TestFrameTooLarge(t *testing.T) {
-	_, cli, _ := startPair(t)
-	big := make([]byte, maxFrame+1)
-	if err := cli.Put([]byte("k"), big); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("oversized Put = %v, want ErrFrameTooLarge", err)
+	srv, cli, backing := startPair(t)
+	conn := rawConn(t, srv, protoV3)
+	if _, err := conn.Write(appendBatchHeader(nil, 1, maxFrame+1)); err != nil {
+		t.Fatal(err)
 	}
-	// The client never sent anything; the connection is fine.
+	if n, err := conn.Read(make([]byte, 16)); n != 0 || err == nil {
+		t.Fatalf("server answered an oversized batch: %d bytes, %v", n, err)
+	}
+	if got := srv.Metrics()["remote_server.oversized"]; got != 1 {
+		t.Fatalf("remote_server.oversized = %d, want 1", got)
+	}
+	if backing.Len() != 0 {
+		t.Fatal("oversized batch applied something")
+	}
 	if err := cli.Put([]byte("k"), []byte("v")); err != nil {
-		t.Fatalf("connection unusable after refused frame: %v", err)
+		t.Fatalf("server unusable after refused frame: %v", err)
 	}
 }
 
-// A v1/garbage client must be rejected without disturbing the server.
+// A garbage client, and a well-formed hello naming the retired protocol
+// version 2, must be dropped without an answer and without applying
+// anything, and without disturbing the server.
 func TestServerRejectsBadHello(t *testing.T) {
-	srv, cli, _ := startPair(t)
+	srv, cli, backing := startPair(t)
 	raw, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -439,39 +496,63 @@ func TestServerRejectsBadHello(t *testing.T) {
 		t.Fatalf("server answered a bad hello with %d bytes", n)
 	}
 	raw.Close()
+
+	v2 := rawConn(t, srv, 2)
+	// A version-2 request record (one request per frame, no batch header).
+	v2.Write(appendRequest(nil, request{seq: 1, op: opPut, key: []byte("v2"), val: []byte("x")}))
+	if n, err := v2.Read(buf); n != 0 || err == nil {
+		t.Fatalf("server answered a version-2 hello: %d bytes, %v", n, err)
+	}
+	if _, err := backing.Get([]byte("v2")); !errors.Is(err, kv.ErrNotFound) {
+		t.Fatalf("version-2 request was applied: %v", err)
+	}
 	// Real clients are unaffected.
 	if err := cli.Put([]byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// The client deadline turns a hung server connection into a transient,
-// outcome-unknown error instead of hanging forever.
+// The write deadline turns a server that stops reading into a
+// transient, outcome-unknown error instead of a writer blocked forever:
+// the value is larger than loopback socket buffers absorb, so the
+// caller holding the writer role is the one that sees each connection
+// break, and redials until the budget is spent.
 func TestClientTimeout(t *testing.T) {
-	// A listener that accepts and then never answers (after the hello).
+	// A listener that accepts and then never reads (after the hello).
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
+	var held []net.Conn
+	var mu sync.Mutex
+	defer func() {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range held {
+			c.Close()
+		}
+	}()
 	go func() {
 		for {
 			conn, err := ln.Accept()
 			if err != nil {
 				return
 			}
-			go io.Copy(io.Discard, conn) // swallow everything, answer nothing
+			mu.Lock()
+			held = append(held, conn)
+			mu.Unlock()
 		}
 	}()
-	cli, err := DialOptions(ln.Addr().String(), ClientOptions{Timeout: 20 * time.Millisecond, Redials: 1})
+	cli, err := DialPipeline(ln.Addr().String(), PipelineOptions{Timeout: 20 * time.Millisecond, Redials: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cli.Close()
 	start := time.Now()
-	err = cli.Put([]byte("k"), []byte("v"))
+	err = cli.Put([]byte("k"), make([]byte, 8<<20))
 	if err == nil {
-		t.Fatal("hung server should time out")
+		t.Fatal("a server that never reads should time out")
 	}
 	if time.Since(start) > 2*time.Second {
 		t.Fatalf("timeout too slow: %v", time.Since(start))
@@ -479,26 +560,7 @@ func TestClientTimeout(t *testing.T) {
 	if !kv.Transient(err) || !kv.OutcomeUnknown(err) {
 		t.Fatalf("timeout misclassified: transient=%v unknown=%v (%v)", kv.Transient(err), kv.OutcomeUnknown(err), err)
 	}
-}
-
-func BenchmarkRemoteRoundTrip(b *testing.B) {
-	backing := memstore.New()
-	srv, err := Serve(backing, "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer func() { srv.Close(); backing.Close() }()
-	cli, err := Dial(srv.Addr())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cli.Close()
-	key := []byte("bench-key")
-	val := make([]byte, 256)
-	cli.Put(key, val)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		cli.Get(key)
+	if got := cli.Metrics()["remote.failures"]; got != 1 {
+		t.Fatalf("remote.failures = %d, want 1", got)
 	}
 }

@@ -14,64 +14,54 @@ import (
 	"gadget/internal/kv"
 )
 
-// cachedRsp is one cached response in a session's replay window. The
-// handle stamps ride along so a replayed answer echoes the ORIGINAL
-// handling window — the op was applied exactly once, and the trace must
-// attribute the once it was applied.
-type cachedRsp struct {
-	status     byte
-	start, end int64 // server-monotonic handle stamps (0,0 when untraced)
-	payload    []byte
-}
-
 // session is the server-side replay state of one client session: the
 // highest applied sequence number and a bounded window of cached
 // responses, so a reconnecting client can retransmit every request it
-// has not seen answered (up to a whole pipeline window under v3) and
-// receive the original responses without re-application.
+// has not seen answered (up to a whole pipeline window) and receive the
+// original responses without re-application. A cached response keeps
+// its handle stamps, so a replayed answer echoes the ORIGINAL handling
+// window — the op was applied exactly once, and the trace must
+// attribute the once it was applied.
 type session struct {
 	mu       sync.Mutex
 	maxSeq   uint64
-	window   map[uint64]cachedRsp
+	window   map[uint64]response
 	order    []uint64 // seqs in arrival order, for FIFO eviction
 	lastUsed time.Time
 }
 
 // dedupe classifies seq against the session and, for fresh sequence
 // numbers, runs apply exactly once and caches its response (including
-// the handle stamps apply reports). cap bounds the response window (1
-// for v2's single in-flight request, replayWindow for v3 pipelines).
-// Replays are answered from the cache; a sequence number at or below
-// maxSeq whose response has been evicted is stale (zero stamps: nothing
-// was handled on its behalf).
-func (sess *session) dedupe(seq uint64, cap int, apply func() (byte, []byte, int64, int64)) (rsp cachedRsp, replayed, stale bool) {
+// the handle stamps apply reports) in a window of replayWindow
+// responses. Replays are answered from the cache; a sequence number at
+// or below maxSeq whose response has been evicted is stale (zero stamps:
+// nothing was handled on its behalf).
+func (sess *session) dedupe(seq uint64, apply func() (byte, []byte, int64, int64)) (rsp response, replayed, stale bool) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	if seq != 0 && seq <= sess.maxSeq {
 		if rsp, ok := sess.window[seq]; ok {
 			return rsp, true, false
 		}
-		return cachedRsp{status: statusError, payload: []byte("remote: stale sequence number")}, false, true
+		return response{status: statusError, payload: []byte("remote: stale sequence number")}, false, true
 	}
 	status, out, start, end := apply()
 	sess.maxSeq = seq
 	if sess.window == nil {
-		sess.window = make(map[uint64]cachedRsp, cap)
+		sess.window = make(map[uint64]response, replayWindow)
 	}
-	rsp = cachedRsp{status: status, start: start, end: end, payload: out}
+	rsp = response{status: status, start: start, end: end, payload: out}
 	sess.window[seq] = rsp
 	sess.order = append(sess.order, seq)
-	for len(sess.order) > cap {
+	for len(sess.order) > replayWindow {
 		delete(sess.window, sess.order[0])
 		sess.order = sess.order[1:]
 	}
 	return rsp, false, false
 }
 
-// Server serves a kv.Store over TCP, speaking protocol v2 (one request
-// per frame, in-order responses) and v3 (batched, pipelined requests
-// with sequence-tagged responses) on the same listener; the client's
-// hello selects the version per connection.
+// Server serves a kv.Store over TCP: batched, pipelined requests in,
+// sequence-tagged responses out, one goroutine per connection.
 type Server struct {
 	store kv.Store
 	ln    net.Listener
@@ -89,7 +79,7 @@ type Server struct {
 	// Wire-level counters (atomics: handlers run one goroutine per conn).
 	accepted  atomic.Uint64 // connections accepted
 	requests  atomic.Uint64 // requests decoded and answered
-	batches   atomic.Uint64 // v3 batch frames decoded
+	batches   atomic.Uint64 // batch frames decoded
 	replays   atomic.Uint64 // reconnect replays answered from cache
 	staleSeqs atomic.Uint64 // requests refused for stale sequence numbers
 	oversized atomic.Uint64 // requests refused for exceeding maxFrame
@@ -203,9 +193,9 @@ func (s *Server) nowNanos() int64 { return int64(time.Since(s.start)) }
 // window and bumps the wire counters. On traced connections the apply
 // window is stamped (and cached, so replays echo the original stamps);
 // untraced connections skip the clock reads entirely.
-func (s *Server) serve(sess *session, q request, window int, traced bool) cachedRsp {
+func (s *Server) serve(sess *session, q request, traced bool) response {
 	s.requests.Add(1)
-	rsp, replayed, stale := sess.dedupe(q.seq, window, func() (byte, []byte, int64, int64) {
+	rsp, replayed, stale := sess.dedupe(q.seq, func() (byte, []byte, int64, int64) {
 		var t0, t1 int64
 		if traced {
 			t0 = s.nowNanos()
@@ -225,6 +215,12 @@ func (s *Server) serve(sess *session, q request, window int, traced bool) cached
 	return rsp
 }
 
+// handle serves one connection: after the hello, read a batch frame,
+// answer each request tagged with its sequence number, flush at batch
+// end. The response order is whatever the server produces — clients
+// match by sequence number and must not assume it equals the request
+// order. On traced connections every response carries the fixed trace
+// trailer.
 func (s *Server) handle(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -240,67 +236,14 @@ func (s *Server) handle(conn net.Conn) {
 	if _, err := io.ReadFull(r, hello[:]); err != nil {
 		return
 	}
-	if binary.LittleEndian.Uint32(hello[0:4]) != protoMagic {
-		return // wrong magic: not a gadget client
-	}
-	sess := s.getSession(binary.LittleEndian.Uint64(hello[5:13]))
 	// The version byte carries the trace-negotiation flag in its top
-	// bit; mask it off before dispatching so tagged and untagged clients
-	// of the same version share a handler.
+	// bit; any version but protoV3 — a wrong magic, a retired protocol —
+	// is not a client this server can answer.
+	if binary.LittleEndian.Uint32(hello[0:4]) != protoMagic || hello[4]&helloVersionMask != protoV3 {
+		return
+	}
 	traced := hello[4]&helloTraceFlag != 0
-	switch hello[4] & helloVersionMask {
-	case protoV2:
-		s.handleV2(r, w, sess)
-	case protoV3:
-		s.handleV3(r, w, sess, traced)
-	}
-}
-
-// handleV2 is the one-request-per-frame loop: read a request, answer it,
-// in order, one at a time.
-func (s *Server) handleV2(r *bufio.Reader, w *bufio.Writer, sess *session) {
-	var hdr [reqHdrLen]byte
-	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return
-		}
-		q := request{
-			seq: binary.LittleEndian.Uint64(hdr[0:8]),
-			op:  hdr[8],
-		}
-		keyLen := binary.LittleEndian.Uint32(hdr[9:13])
-		valLen := binary.LittleEndian.Uint32(hdr[13:17])
-		if keyLen > maxFrame || valLen > maxFrame {
-			// Symmetric maxFrame enforcement: drain the declared payload
-			// and refuse the request, keeping the connection usable.
-			s.oversized.Add(1)
-			if _, err := io.CopyN(io.Discard, r, int64(keyLen)+int64(valLen)); err != nil {
-				return
-			}
-			if !writeResponseV2(w, statusError, []byte(ErrFrameTooLarge.Error())) {
-				return
-			}
-			continue
-		}
-		buf := make([]byte, keyLen+valLen)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return
-		}
-		q.key, q.val = buf[:keyLen], buf[keyLen:]
-
-		rsp := s.serve(sess, q, 1, false)
-		if !writeResponseV2(w, rsp.status, rsp.payload) {
-			return
-		}
-	}
-}
-
-// handleV3 is the batched, pipelined loop: read a batch frame, answer
-// each request tagged with its sequence number, flush at batch end. The
-// response order is whatever the server produces — v3 clients match by
-// sequence number and must not assume it equals the request order. On
-// traced connections every response carries the fixed trace trailer.
-func (s *Server) handleV3(r *bufio.Reader, w *bufio.Writer, sess *session, traced bool) {
+	sess := s.getSession(binary.LittleEndian.Uint64(hello[5:13]))
 	for {
 		reqs, err := readBatch(r)
 		if err != nil {
@@ -313,8 +256,7 @@ func (s *Server) handleV3(r *bufio.Reader, w *bufio.Writer, sess *session, trace
 		}
 		s.batches.Add(1)
 		for _, q := range reqs {
-			rsp := s.serve(sess, q, replayWindow, traced)
-			if !writeResponseV3(w, q.seq, rsp, traced) {
+			if !writeResponse(w, q.seq, s.serve(sess, q, traced), traced) {
 				return
 			}
 		}
@@ -322,45 +264,6 @@ func (s *Server) handleV3(r *bufio.Reader, w *bufio.Writer, sess *session, trace
 			return
 		}
 	}
-}
-
-func writeResponseV2(w *bufio.Writer, status byte, out []byte) bool {
-	var rhdr [rspHdrLen]byte
-	rhdr[0] = status
-	binary.LittleEndian.PutUint32(rhdr[1:], uint32(len(out)))
-	if _, err := w.Write(rhdr[:]); err != nil {
-		return false
-	}
-	if _, err := w.Write(out); err != nil {
-		return false
-	}
-	return w.Flush() == nil
-}
-
-// writeResponseV3 buffers one sequence-tagged response; the caller
-// flushes at batch boundaries. The valLen header field counts only the
-// payload — the trace trailer is a fixed-size extension the traced
-// client knows to expect after it.
-func writeResponseV3(w *bufio.Writer, seq uint64, rsp cachedRsp, traced bool) bool {
-	var rhdr [rsp3HdrLen]byte
-	binary.LittleEndian.PutUint64(rhdr[0:8], seq)
-	rhdr[8] = rsp.status
-	binary.LittleEndian.PutUint32(rhdr[9:13], uint32(len(rsp.payload)))
-	if _, err := w.Write(rhdr[:]); err != nil {
-		return false
-	}
-	if _, err := w.Write(rsp.payload); err != nil {
-		return false
-	}
-	if traced {
-		var tr [traceTrailerLen]byte
-		binary.LittleEndian.PutUint64(tr[0:8], uint64(rsp.start))
-		binary.LittleEndian.PutUint64(tr[8:16], uint64(rsp.end))
-		if _, err := w.Write(tr[:]); err != nil {
-			return false
-		}
-	}
-	return true
 }
 
 // Metrics implements kv.Introspector: wire-level counters under

@@ -45,18 +45,18 @@ type Config struct {
 	SyncWrites bool `json:"sync_writes"`
 	// Addr is the server address for the "remote" engine (external
 	// state management, paper §8). A comma-separated list names one
-	// endpoint per shard of a sharded server.
+	// endpoint per shard of a sharded server; a single address is a
+	// one-shard server unless Remote.Shards expands it.
 	Addr string `json:"addr"`
-	// Remote, when set, selects the sharded, pipelined protocol-v3
-	// client for the "remote" engine; nil keeps the single-connection
-	// protocol-v2 client.
+	// Remote tunes the "remote" engine's client (shard count, pipeline
+	// depth, batch size); nil takes the defaults.
 	Remote *RemoteConfig `json:"remote,omitempty"`
 	// FS injects a filesystem for the durable engines (tests use
 	// vfs.MemFS/vfs.FaultFS); nil means the real filesystem. Not part of
 	// the JSON configuration surface.
 	FS vfs.FS `json:"-"`
-	// Traced asks the sharded protocol-v3 client to negotiate trace
-	// trailers at hello, so traced ops receive server-side handle stamps.
+	// Traced asks the remote client to negotiate trace trailers at
+	// hello, so traced ops receive server-side handle stamps.
 	// Set by the harness from obs.trace, not from the store JSON (the
 	// store section stays tracing-agnostic).
 	Traced bool `json:"-"`
@@ -110,8 +110,8 @@ func (c ChaosConfig) Plan() kv.ChaosPlan {
 	}
 }
 
-// RemoteConfig is the JSON surface of the sharded protocol-v3 client
-// (shard.Client over remote.PipelinedClient connections).
+// RemoteConfig is the JSON surface of the remote engine's client: a
+// shard.Client over one remote.PipelinedClient connection per shard.
 type RemoteConfig struct {
 	// Shards is the shard count. With a single addr and Shards > 1, the
 	// per-shard endpoints are derived as port, port+1, ... (matching a
@@ -237,17 +237,14 @@ func openEngine(cfg Config) (kv.Store, error) {
 	}
 }
 
-// openRemote dials the external store. A bare single addr keeps the
-// protocol-v2 client (back-compat); a Remote section or a multi-addr
-// list selects the sharded, pipelined protocol-v3 client.
+// openRemote dials the external store: one pipelined connection per
+// shard endpoint, behind a shard.Client (a single endpoint is one
+// shard).
 func openRemote(cfg Config) (kv.Store, error) {
 	if cfg.Addr == "" {
 		return nil, fmt.Errorf("stores: remote engine requires addr")
 	}
 	addrs := splitAddrs(cfg.Addr)
-	if cfg.Remote == nil && len(addrs) == 1 {
-		return remote.Dial(addrs[0])
-	}
 	var rc RemoteConfig
 	if cfg.Remote != nil {
 		rc = *cfg.Remote

@@ -112,6 +112,47 @@ func TestTracedStageSumCoversServiceLatency(t *testing.T) {
 	}
 }
 
+// TestTracedBareAddr opens the remote engine the plainest way — one
+// bare addr, no remote section — with tracing on: the store must still
+// negotiate trace trailers, so every sampled op records wire and server
+// stages.
+func TestTracedBareAddr(t *testing.T) {
+	backing := memstore.New()
+	defer backing.Close()
+	srv, err := remote.Serve(backing, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	s, err := Open(Config{Engine: "remote", Addr: srv.Addr(), Traced: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	tr := tracing.New(tracing.Options{SampleN: 4, SlowK: 8})
+	sampled := 0
+	for i := 0; i < 64; i++ {
+		op := kv.TracedOp{Op: kv.OpPut, Key: []byte(fmt.Sprintf("bare-%d", i)), Val: []byte("v")}
+		tc := tr.Start(uint8(op.Op))
+		if _, err := kv.DoTraced(s, tc, op); err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+		if tc != nil {
+			sampled++
+			for _, st := range []tracing.Stage{tracing.StageWire, tracing.StageServer} {
+				if tc.Dur(st) <= 0 {
+					t.Errorf("op %d: stage %s not recorded", i, st)
+				}
+			}
+		}
+		tr.Finish(tc)
+	}
+	if sampled == 0 {
+		t.Fatal("no op was sampled")
+	}
+}
+
 // TestTracedReconnectExactlyOnce replays the connection-killing-dialer
 // scenario with tracing enabled on every op: requests answered from the
 // server's replay window after a reconnect must complete their trace
