@@ -44,6 +44,16 @@ go test -race -timeout 10m ./internal/kv/ ./internal/stores/ \
     ./internal/faster/ ./internal/lethe/ ./internal/remote/ \
     ./internal/shard/ ./internal/tracing/
 
+echo "== go test -race (LSM background worker, repeated)"
+# Flush and compaction run on one worker per DB. Five repeats under the
+# race detector of four writers and snapshot readers against a memstore
+# oracle while the worker flushes and compacts beneath them, of failed
+# table writes, syncs and renames and MANIFEST directory syncs (writes,
+# Flush and Close report the fault, reads keep serving, no goroutine
+# outlives Close, the directory reopens to every acknowledged write),
+# and of Close during a compaction — on the LSM and through Lethe.
+go test -race -count=5 -timeout 10m -run 'TestWorker|TestCompactionBypassesBlockCache' ./internal/lsm/
+
 echo "== go test -race (remote role hand-off, repeated)"
 # The remote client has no goroutine of its own: callers pass the writer
 # and reader roles between themselves. Ten repeats under the race

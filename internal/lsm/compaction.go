@@ -85,33 +85,38 @@ func (db *DB) levelInfosLocked() []LevelInfo {
 	return out
 }
 
-// maybeCompactLocked runs picker-selected compactions to quiescence.
-// Called with mu held.
-func (db *DB) maybeCompactLocked() error {
+// maybeCompact runs picker-selected compactions to quiescence. Called
+// with work held; mu is taken only to pick.
+func (db *DB) maybeCompact() error {
 	for rounds := 0; rounds < 32; rounds++ {
+		db.mu.RLock()
 		req := db.opts.Picker.Pick(db.levelInfosLocked(), db.opts)
+		db.mu.RUnlock()
 		if req == nil {
 			return nil
 		}
-		if err := db.compactLocked(req); err != nil {
+		if err := db.compact(req); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// compactLocked merges the requested files (plus overlapping files one
-// level down) into new tables at Level+1.
-func (db *DB) compactLocked(req *CompactionRequest) error {
+// compact merges the requested files (plus overlapping files one level
+// down) into new tables at Level+1. The merge and the MANIFEST of the
+// new layout are written outside mu, which is held only to swap the
+// level slices. Called with work held.
+func (db *DB) compact(req *CompactionRequest) error {
 	if req.Level < 0 || req.Level >= numLevels-1 {
 		return nil
 	}
+	cur := db.version.levels
 	want := make(map[uint64]bool, len(req.FileNums))
 	for _, n := range req.FileNums {
 		want[n] = true
 	}
 	var upper []*fileMeta
-	for _, fm := range db.version.levels[req.Level] {
+	for _, fm := range cur[req.Level] {
 		if want[fm.num] {
 			upper = append(upper, fm)
 		}
@@ -132,7 +137,7 @@ func (db *DB) compactLocked(req *CompactionRequest) error {
 	}
 	outLevel := req.Level + 1
 	var lower []*fileMeta
-	for _, fm := range db.version.levels[outLevel] {
+	for _, fm := range cur[outLevel] {
 		if fm.overlaps(lo, hi) {
 			lower = append(lower, fm)
 		}
@@ -141,7 +146,7 @@ func (db *DB) compactLocked(req *CompactionRequest) error {
 	// Bottommost if no deeper level holds any data.
 	bottommost := true
 	for lvl := outLevel + 1; lvl < numLevels; lvl++ {
-		if len(db.version.levels[lvl]) > 0 {
+		if len(cur[lvl]) > 0 {
 			bottommost = false
 			break
 		}
@@ -153,7 +158,8 @@ func (db *DB) compactLocked(req *CompactionRequest) error {
 		return err
 	}
 
-	// Install: remove inputs, add outputs.
+	// The new layout: inputs out, outputs in. Readers may hold the
+	// current level slices, so the two that change are built afresh.
 	remove := make(map[uint64]bool, len(inputs))
 	var inBytes uint64
 	for _, fm := range inputs {
@@ -161,7 +167,7 @@ func (db *DB) compactLocked(req *CompactionRequest) error {
 		inBytes += uint64(fm.size)
 	}
 	filter := func(files []*fileMeta) []*fileMeta {
-		out := files[:0]
+		out := make([]*fileMeta, 0, len(files)+len(outputs))
 		for _, fm := range files {
 			if !remove[fm.num] {
 				out = append(out, fm)
@@ -169,28 +175,35 @@ func (db *DB) compactLocked(req *CompactionRequest) error {
 		}
 		return out
 	}
-	db.version.levels[req.Level] = filter(db.version.levels[req.Level])
-	db.version.levels[outLevel] = append(filter(db.version.levels[outLevel]), outputs...)
-	db.version.sortLevels()
-	// Commit the new layout before deleting inputs: a crash between the
-	// manifest rename and the removals leaves the old tables as orphans,
-	// which the next open cleans up; a crash before it leaves the outputs
-	// as orphans instead. Either way exactly one layout survives.
-	if err := db.writeManifestLocked(); err != nil {
+	next := cur
+	next[req.Level] = filter(cur[req.Level])
+	next[outLevel] = append(filter(cur[outLevel]), outputs...)
+	sortLevel(req.Level, next[req.Level])
+	sortLevel(outLevel, next[outLevel])
+	// Commit the new layout before installing it and deleting inputs: a
+	// crash between the manifest rename and the removals leaves the old
+	// tables as orphans, which the next open cleans up; a crash before it
+	// leaves the outputs as orphans instead. Either way exactly one
+	// layout survives.
+	if err := db.writeManifest(&next); err != nil {
+		releaseUncommitted(outputs)
 		return err
 	}
-	// Inputs leave the version; snapshots may still pin them. The last
-	// owner's unref closes, uncaches, and deletes each file.
-	for _, fm := range inputs {
-		fm.markObsolete()
-		fm.unref()
-	}
+	db.mu.Lock()
+	db.version.levels = next
 	db.stats.Compactions++
 	db.stats.BytesCompacted += inBytes
 	for _, fm := range outputs {
 		db.stats.BytesCompactedOut += uint64(fm.size)
 	}
 	db.stats.TombstonesDropped += dropped
+	db.mu.Unlock()
+	// Inputs leave the version; snapshots may still pin them. The last
+	// owner's unref closes, uncaches, and deletes each file.
+	for _, fm := range inputs {
+		fm.markObsolete()
+		fm.unref()
+	}
 	return nil
 }
 
@@ -379,10 +392,12 @@ func (h *mergeHeap) Pop() interface{} {
 	return x
 }
 
+// newMergeIter reads the inputs past the block cache: they are about to
+// be deleted, so caching their blocks would only evict live ones.
 func newMergeIter(inputs []*fileMeta) *mergeIter {
 	m := &mergeIter{}
 	for _, fm := range inputs {
-		it := fm.reader.Iter()
+		it := fm.reader.SeqIter()
 		it.First()
 		if it.Err() != nil {
 			m.e = it.Err()

@@ -73,6 +73,7 @@ func TestFlushScheduleAndTablesUnchanged(t *testing.T) {
 	}
 
 	tables := sha256.New()
+	db.settle()
 	db.mu.RLock()
 	for lvl, files := range db.version.levels {
 		for _, fm := range files {

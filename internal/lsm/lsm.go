@@ -5,10 +5,15 @@
 // StringAppend-style merge operator for lazy updates. An optional
 // write-ahead log provides durability of the memtable across restarts.
 //
-// Flushes and compactions run inline on the writing goroutine (the moral
-// equivalent of a write stall), keeping behaviour deterministic for
-// benchmarking. The delete-aware Lethe variant plugs in through the
-// CompactionPicker interface (see package lethe).
+// Flushes and compactions run on one background worker per DB, in the
+// order the memtable rotations queued them: each rotation's step flushes
+// and compacts exactly what it would if the writer ran it itself, so the
+// tables, their numbers and every byte count repeat for a given sequence
+// of writes; only when the work happens depends on timing. A writer
+// waits for the worker only when the next write buffer fills while an
+// earlier one is still due to be flushed. The delete-aware Lethe
+// variant plugs in through the CompactionPicker interface (see package
+// lethe).
 package lsm
 
 import (
@@ -17,6 +22,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -38,9 +44,10 @@ type Options struct {
 	// MemtableSize is the flush threshold in bytes (default 32 MiB,
 	// at most 1 GiB: a memtable names its entries by 32-bit refs).
 	MemtableSize int64
-	// MaxImmutables is how many frozen memtables may queue before the
-	// writer flushes inline (default 1, i.e. two write buffers total as
-	// in the paper's configuration).
+	// MaxImmutables is how many frozen memtables a rotation leaves
+	// unflushed (default 1, i.e. two write buffers as in the paper's
+	// configuration). One more may wait while the worker flushes the due
+	// one; a writer that fills a buffer beyond that waits for the flush.
 	MaxImmutables int
 	// BlockCacheSize is the shared block cache capacity (default 64 MiB).
 	BlockCacheSize int64
@@ -109,9 +116,15 @@ type Stats struct {
 	BytesCompacted, BytesCompactedOut uint64
 	TombstonesDropped                 uint64
 	Gets, Puts, Merges, Deletes       uint64
-	// StallNanos is cumulative time writers spent blocked on inline
-	// flush/compaction work (the harness's write-stall equivalent).
+	// StallNanos is the time a writer waited for the worker.
 	StallNanos uint64
+	// BgNanos is the time the worker spent running flush and compaction
+	// steps.
+	BgNanos uint64
+	// ImmutablesPeak is the most frozen memtables a rotation has left at
+	// once: MaxImmutables+1 while the worker keeps up, one more when a
+	// writer had to wait for it.
+	ImmutablesPeak uint64
 	// Bloom filter effectiveness across all tables: probes, filter
 	// rejections, and false positives (admitted but absent).
 	BloomChecks, BloomNegatives, BloomFalsePositives uint64
@@ -137,11 +150,28 @@ type DB struct {
 	imm     []*memtable // oldest first
 	version *version
 	seq     uint64
-	nextNum uint64
 	wal     *walWriter
 	closed  bool
 	stats   Stats
 	bloom   bloomCounters
+
+	// The worker's queue, under mu. steps holds, for every rotation not
+	// yet run, the memtable it froze. finished counts the steps run, or
+	// dropped after a failure, out of queued. cond (on mu) wakes the
+	// worker, writers waiting for a flush, and settle.
+	steps            []*memtable
+	queued, finished uint64
+	cond             *sync.Cond
+	// bgErr is the first failure of a worker step. It stops further
+	// steps and every later write; reads keep being served.
+	bgErr      error
+	workerDone chan struct{}
+	// work serializes changes to the table tree — the worker's steps,
+	// Flush, Compact and Close — and guards nextNum. The version changes
+	// only under both work and mu, so work alone suffices to read it.
+	work    sync.Mutex
+	nextNum uint64
+
 	// Memtable index outcomes; atomics because Gets bump them under the
 	// read lock.
 	memFilterChecks, memFilterNegatives atomic.Uint64
@@ -189,6 +219,9 @@ func Open(opts Options) (*DB, error) {
 		}
 		db.wal = w
 	}
+	db.cond = sync.NewCond(&db.mu)
+	db.workerDone = make(chan struct{})
+	go db.runWorker()
 	return db, nil
 }
 
@@ -292,6 +325,9 @@ func (db *DB) write(key, value []byte, kind byte, tc *tracing.Ctx) error {
 	if db.closed {
 		return kv.ErrClosed
 	}
+	if db.bgErr != nil {
+		return db.bgErr
+	}
 	switch kind {
 	case kindPut:
 		db.stats.Puts++
@@ -318,29 +354,102 @@ func (db *DB) write(key, value []byte, kind byte, tc *tracing.Ctx) error {
 	db.mem.add(ikey, value, kind)
 	tc.AddSince(tracing.StageEngineMem, tm)
 	if db.mem.approxBytes() >= db.opts.MemtableSize {
-		// Rotation may flush and compact inline; the wall time it takes
-		// is exactly how long this writer was stalled.
-		t0 := time.Now()
-		err := db.rotateMemtableLocked()
-		db.stats.StallNanos += uint64(time.Since(t0))
-		if err != nil {
-			return err
-		}
+		db.rotateLocked()
 	}
 	return nil
 }
 
-// rotateMemtableLocked freezes the active memtable and flushes queued
-// immutables beyond the allowed backlog. Called with mu held.
-func (db *DB) rotateMemtableLocked() error {
-	db.imm = append(db.imm, db.mem)
+// rotateLocked freezes the active memtable and queues its step for the
+// worker. The writer goes on at once, unless the memtable it just froze
+// is one more than the worker may leave queued: then it waits for the
+// worker to flush the due one. Called with mu held.
+func (db *DB) rotateLocked() {
+	m := db.mem
+	db.imm = append(db.imm, m)
+	db.stats.ImmutablesPeak = max(db.stats.ImmutablesPeak, uint64(len(db.imm)))
 	db.mem = newMemtable()
-	for len(db.imm) > db.opts.MaxImmutables {
-		if err := db.flushOldestLocked(); err != nil {
-			return err
-		}
+	db.steps = append(db.steps, m)
+	db.queued++
+	db.cond.Broadcast()
+	if !db.writerWaitsLocked() {
+		return
 	}
-	return db.maybeCompactLocked()
+	t0 := time.Now()
+	for db.writerWaitsLocked() {
+		db.cond.Wait()
+	}
+	db.stats.StallNanos += uint64(time.Since(t0))
+}
+
+func (db *DB) writerWaitsLocked() bool {
+	return len(db.imm) > db.opts.MaxImmutables+1 && db.bgErr == nil && !db.closed
+}
+
+// runWorker is the worker goroutine Open starts and Close joins. It runs
+// the queued steps in order until Close has been called and the queue
+// is empty; after a failed step it drops the rest.
+func (db *DB) runWorker() {
+	defer close(db.workerDone)
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	for {
+		for len(db.steps) == 0 && !db.closed {
+			db.cond.Wait()
+		}
+		if len(db.steps) == 0 {
+			return
+		}
+		m := db.steps[0]
+		db.steps[0] = nil
+		db.steps = db.steps[1:]
+		if db.bgErr == nil {
+			db.mu.Unlock()
+			busy, err := db.rotationStep(m)
+			db.mu.Lock()
+			db.stats.BgNanos += uint64(busy)
+			if err != nil {
+				db.bgErr = fmt.Errorf("lsm: background flush or compaction: %w", err)
+			}
+		}
+		db.finished++
+		db.cond.Broadcast()
+	}
+}
+
+// rotationStep runs the step the rotation that froze m queued: flush
+// the oldest immutables while more than MaxImmutables of those frozen
+// up to m are left, then compact. It returns the time the step took
+// once it held work.
+func (db *DB) rotationStep(m *memtable) (time.Duration, error) {
+	db.work.Lock()
+	defer db.work.Unlock()
+	t0 := time.Now()
+	err := db.flushThrough(m, db.opts.MaxImmutables)
+	if err == nil {
+		err = db.maybeCompact()
+	}
+	return time.Since(t0), err
+}
+
+// settle waits until every step queued before the call has finished, so
+// that what it reads next includes the work those writes caused.
+func (db *DB) settle() {
+	db.mu.Lock()
+	for t := db.queued; db.finished < t; {
+		db.cond.Wait()
+	}
+	db.mu.Unlock()
+}
+
+// treeErr reports why the table tree must not change: the DB is closed,
+// or a worker step failed. Called with work held.
+func (db *DB) treeErr() error {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	if db.closed {
+		return kv.ErrClosed
+	}
+	return db.bgErr
 }
 
 // Get returns the value under key, resolving merge operands across all
@@ -481,30 +590,67 @@ func combineMerge(base []byte, operands [][]byte) []byte {
 	return out
 }
 
-// Flush forces the active memtable to disk (mainly for tests and Close).
+// Flush waits for the queued worker steps, then writes the active
+// memtable and every immutable one to disk (mainly for tests).
 func (db *DB) Flush() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return kv.ErrClosed
+	db.settle()
+	db.work.Lock()
+	defer db.work.Unlock()
+	if err := db.treeErr(); err != nil {
+		return err
 	}
+	return db.flushAll()
+}
+
+// flushAll freezes the active memtable and flushes it with every
+// immutable one queued before it. Called with work held.
+func (db *DB) flushAll() error {
+	db.mu.Lock()
 	if db.mem.len() > 0 {
 		db.imm = append(db.imm, db.mem)
 		db.mem = newMemtable()
 	}
-	for len(db.imm) > 0 {
-		if err := db.flushOldestLocked(); err != nil {
+	var last *memtable
+	if n := len(db.imm); n > 0 {
+		last = db.imm[n-1]
+	}
+	db.mu.Unlock()
+	if last == nil {
+		return nil
+	}
+	return db.flushThrough(last, 0)
+}
+
+// flushThrough flushes the oldest immutable memtables until at most keep
+// of those frozen up to and including m are left. Called with work held.
+func (db *DB) flushThrough(m *memtable, keep int) error {
+	for {
+		db.mu.RLock()
+		due := slices.Index(db.imm, m)+1 > keep
+		var oldest *memtable
+		if due {
+			oldest = db.imm[0]
+		}
+		db.mu.RUnlock()
+		if !due {
+			return nil
+		}
+		if err := db.flushOldest(oldest); err != nil {
 			return err
 		}
 	}
-	return nil
 }
 
-// Compact runs compactions until the picker is satisfied (for tests).
+// Compact waits for the queued worker steps, then runs compactions until
+// the picker is satisfied (for tests).
 func (db *DB) Compact() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.maybeCompactLocked()
+	db.settle()
+	db.work.Lock()
+	defer db.work.Unlock()
+	if err := db.treeErr(); err != nil {
+		return err
+	}
+	return db.maybeCompact()
 }
 
 // CacheStats reports block cache hits and misses.
@@ -512,8 +658,11 @@ func (db *DB) CacheStats() (hits, misses uint64) {
 	return db.cache.Stats()
 }
 
-// Stats returns a snapshot of engine counters.
+// StatsSnapshot returns the engine counters once every worker step
+// queued before the call has finished, so that they include the flushes
+// and compactions the writes so far have caused.
 func (db *DB) StatsSnapshot() Stats {
+	db.settle()
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	arena := db.mem.sl.MemBytes()
@@ -533,6 +682,8 @@ func (db *DB) StatsSnapshot() Stats {
 		Merges:              db.stats.Merges,
 		Deletes:             db.stats.Deletes,
 		StallNanos:          db.stats.StallNanos,
+		BgNanos:             db.stats.BgNanos,
+		ImmutablesPeak:      db.stats.ImmutablesPeak,
 		BloomChecks:         db.bloom.checks.Load(),
 		BloomNegatives:      db.bloom.negatives.Load(),
 		BloomFalsePositives: db.bloom.falsePos.Load(),
@@ -542,9 +693,10 @@ func (db *DB) StatsSnapshot() Stats {
 }
 
 // Metrics implements kv.Introspector: engine counters under "lsm.*",
-// including compaction/flush activity, write-stall time, Bloom filter
-// effectiveness, block cache hit ratio inputs, and per-level file counts
-// and bytes.
+// including compaction/flush activity, write-stall and worker time,
+// Bloom filter effectiveness, block cache hit ratio inputs, and
+// per-level file counts and bytes. Like StatsSnapshot it first waits for
+// the worker steps queued before the call.
 func (db *DB) Metrics() map[string]int64 {
 	st := db.StatsSnapshot()
 	hits, misses := db.cache.Stats()
@@ -561,6 +713,8 @@ func (db *DB) Metrics() map[string]int64 {
 		"lsm.merges":                int64(st.Merges),
 		"lsm.deletes":               int64(st.Deletes),
 		"lsm.stall_nanos":           int64(st.StallNanos),
+		"lsm.bg_nanos":              int64(st.BgNanos),
+		"lsm.immutables_peak":       int64(st.ImmutablesPeak),
 		"lsm.bloom_checks":          int64(st.BloomChecks),
 		"lsm.bloom_negatives":       int64(st.BloomNegatives),
 		"lsm.bloom_false_positives": int64(st.BloomFalsePositives),
@@ -614,37 +768,44 @@ func (db *DB) LevelFileCounts() []int {
 	return out
 }
 
-// Close flushes the memtable and releases all file handles.
+// Close refuses further writes, lets the worker finish the steps queued
+// before it and exit, flushes the memtables and releases all file
+// handles. After a failed worker step it flushes nothing, keeps the
+// write-ahead log for the next Open to replay, still releases
+// everything, and returns that failure.
 func (db *DB) Close() error {
 	db.mu.Lock()
 	if db.closed {
 		db.mu.Unlock()
 		return nil
 	}
-	db.mu.Unlock()
-	// Flush without holding the lock twice.
-	if err := db.Flush(); err != nil {
-		return err
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	db.closed = true
+	db.cond.Broadcast()
+	db.mu.Unlock()
+	<-db.workerDone
+	db.work.Lock()
+	defer db.work.Unlock()
+	err := db.bgErr
+	if err == nil {
+		err = db.flushAll()
+	}
 	if db.wal != nil {
 		db.wal.close()
-		// The memtable was flushed; the log is stale.
-		db.opts.FS.Remove(filepath.Join(db.opts.Dir, walName))
+		if err == nil {
+			// Every entry is in a table; the log is stale.
+			db.opts.FS.Remove(filepath.Join(db.opts.Dir, walName))
+		}
 	}
-	var firstErr error
 	for _, lvl := range db.version.levels {
 		for _, fm := range lvl {
 			// Live snapshots keep their pinned tables (but not the WAL or
 			// cache) usable past Close; the handle closes on last unref.
-			if err := fm.unref(); err != nil && firstErr == nil {
-				firstErr = err
+			if uerr := fm.unref(); uerr != nil && err == nil {
+				err = uerr
 			}
 		}
 	}
-	return firstErr
+	return err
 }
 
 // version tracks the current file layout. L0 files are ordered newest
@@ -656,15 +817,21 @@ type version struct {
 func newVersion() *version { return &version{} }
 
 func (v *version) sortLevels() {
-	sort.Slice(v.levels[0], func(i, j int) bool {
-		return v.levels[0][i].num > v.levels[0][j].num // newest first
-	})
-	for lvl := 1; lvl < numLevels; lvl++ {
-		files := v.levels[lvl]
-		sort.Slice(files, func(i, j int) bool {
-			return string(files[i].smallest) < string(files[j].smallest)
-		})
+	for lvl, files := range v.levels {
+		sortLevel(lvl, files)
 	}
+}
+
+// sortLevel orders one level's files: L0 newest first, deeper levels by
+// smallest key.
+func sortLevel(lvl int, files []*fileMeta) {
+	if lvl == 0 {
+		sort.Slice(files, func(i, j int) bool { return files[i].num > files[j].num })
+		return
+	}
+	sort.Slice(files, func(i, j int) bool {
+		return string(files[i].smallest) < string(files[j].smallest)
+	})
 }
 
 // fileForKey returns the single file at lvl (>=1) whose range covers the

@@ -36,12 +36,12 @@ const (
 
 func manifestPath(dir string) string { return filepath.Join(dir, manifestName) }
 
-// writeManifestLocked atomically persists the current file layout.
-// Called with mu held after version changes are installed.
-func (db *DB) writeManifestLocked() error {
+// writeManifest atomically persists a file layout: the one a flush or
+// compaction is about to install. Called with work held.
+func (db *DB) writeManifest(levels *[numLevels][]*fileMeta) error {
 	var buf bytes.Buffer
 	fmt.Fprintln(&buf, manifestHeader)
-	for lvl, files := range db.version.levels {
+	for lvl, files := range levels {
 		for _, fm := range files {
 			fmt.Fprintf(&buf, "%06d %d\n", fm.num, lvl)
 		}

@@ -37,9 +37,9 @@ func hotKeys() [][]byte {
 }
 
 // crashReopen abandons db the way a killed process would — the WAL's
-// user-space buffer reaches the file, the memtables do not — and opens
-// the directory again, so the new memtable (and its index) is rebuilt
-// by WAL replay alone.
+// user-space buffer reaches the file, the memtables do not, and the
+// worker runs nothing more — and opens the directory again, so the new
+// memtable (and its index) is rebuilt by WAL replay alone.
 func crashReopen(t *testing.T, db *DB, opts Options) *DB {
 	t.Helper()
 	db.mu.Lock()
@@ -48,11 +48,25 @@ func crashReopen(t *testing.T, db *DB, opts Options) *DB {
 	if err != nil {
 		t.Fatal(err)
 	}
+	db.kill()
 	db2, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return db2
+}
+
+// kill stops db's worker as a killed process stops it: the steps still
+// queued never run. A step already running completes, which is a crash
+// point like any other. The DB refuses everything afterwards.
+func (db *DB) kill() {
+	db.mu.Lock()
+	db.closed = true
+	db.finished += uint64(len(db.steps))
+	db.steps = nil
+	db.cond.Broadcast()
+	db.mu.Unlock()
+	<-db.workerDone
 }
 
 // TestPointReadDifferential interleaves Put/Merge/Delete/Get over a hot
@@ -212,6 +226,9 @@ func TestPointPathAllocs(t *testing.T) {
 	for i := 0; i < 4000; i++ {
 		db.Put(benchKey(i), val)
 	}
+	// AllocsPerRun counts every goroutine's allocations: the worker's
+	// flushes must be done before anything is measured.
+	db.settle()
 	counts := db.LevelFileCounts()
 	db.mu.RLock()
 	frozen := len(db.imm)

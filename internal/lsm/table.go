@@ -202,6 +202,8 @@ type tableBuilder struct {
 	tombAt  time.Time
 }
 
+// newTableBuilder starts a table under the next file number. Called with
+// work held.
 func (db *DB) newTableBuilder() (*tableBuilder, error) {
 	num := db.nextNum
 	db.nextNum++
@@ -256,40 +258,62 @@ func (b *tableBuilder) finish(db *DB, level int) (*fileMeta, error) {
 	return fm, nil
 }
 
+// releaseUncommitted closes the new tables of a step whose MANIFEST
+// write failed, but leaves their files: the write may have failed after
+// its rename, so the MANIFEST on disk may list them. The next Open keeps
+// the ones it lists and removes the rest as orphans.
+func releaseUncommitted(tables []*fileMeta) {
+	for _, fm := range tables {
+		fm.unref()
+	}
+}
+
 // abandon removes a partially written table.
 func (b *tableBuilder) abandon() {
 	b.f.Close()
 	b.fs.Remove(b.path + ".tmp")
 }
 
-// flushOldestLocked writes the oldest immutable memtable to a new L0
-// table. Called with mu held.
-func (db *DB) flushOldestLocked() error {
-	m := db.imm[0]
-	if m.len() == 0 {
-		db.imm = db.imm[1:]
-		return nil
-	}
-	b, err := db.newTableBuilder()
-	if err != nil {
-		return err
-	}
-	it := m.sl.Iter()
-	for it.First(); it.Valid(); it.Next() {
-		if err := b.add(it.Key(), it.Value(), m.earliestTombstone); err != nil {
-			b.abandon()
+// flushOldest writes m, the oldest immutable memtable, to a new L0 table
+// and installs it. The table and the MANIFEST that commits it are
+// written outside mu; mu is held only to pop m and swap in the new L0.
+// Called with work held.
+func (db *DB) flushOldest(m *memtable) error {
+	next := db.version.levels
+	var fm *fileMeta
+	if m.len() > 0 {
+		b, err := db.newTableBuilder()
+		if err != nil {
+			return err
+		}
+		it := m.sl.Iter()
+		for it.First(); it.Valid(); it.Next() {
+			if err := b.add(it.Key(), it.Value(), m.earliestTombstone); err != nil {
+				b.abandon()
+				return err
+			}
+		}
+		if fm, err = b.finish(db, 0); err != nil {
+			return err
+		}
+		next[0] = append([]*fileMeta{fm}, next[0]...)
+		// Commit point: the table is visible to future opens only once the
+		// manifest naming it lands.
+		if err := db.writeManifest(&next); err != nil {
+			releaseUncommitted([]*fileMeta{fm})
 			return err
 		}
 	}
-	fm, err := b.finish(db, 0)
-	if err != nil {
-		return err
+	db.mu.Lock()
+	n := copy(db.imm, db.imm[1:])
+	db.imm[n] = nil
+	db.imm = db.imm[:n]
+	if fm != nil {
+		db.version.levels = next
+		db.stats.Flushes++
+		db.stats.BytesFlushed += uint64(fm.size)
 	}
-	db.imm = db.imm[1:]
-	db.version.levels[0] = append([]*fileMeta{fm}, db.version.levels[0]...)
-	db.stats.Flushes++
-	db.stats.BytesFlushed += uint64(fm.size)
-	// Commit point: the table is visible to future opens only once the
-	// manifest naming it lands.
-	return db.writeManifestLocked()
+	db.cond.Broadcast()
+	db.mu.Unlock()
+	return nil
 }

@@ -21,7 +21,7 @@ func enginePhases(tc *tracing.Ctx) int64 {
 // plain Store calls, with engine-internal phases attributed — memtable
 // probe/insert (StageEngineMem), SSTable reads (StageEngineSST), WAL
 // append/fsync (StageEngineWAL) — and everything else the call spent
-// (locking, merge folding, inline flush stalls, scans) charged to
+// (locking, merge folding, waits for the worker, scans) charged to
 // StageEngine so the stage sum still covers the whole call.
 func (db *DB) DoTraced(tc *tracing.Ctx, op kv.TracedOp) (kv.TracedResult, error) {
 	t0 := tc.Now()

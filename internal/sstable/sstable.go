@@ -268,8 +268,10 @@ func Open(f ReadableFile, id uint64, c *cache.Cache) (*Reader, error) {
 		return nil, err
 	}
 	if len(r.index) > 0 {
-		// First key of the table: read the first block lazily? Read now.
-		blk, err := r.readBlock(0)
+		// The first key is read past the cache: a table is opened when a
+		// flush or compaction installs it, which is no sign that its
+		// first block is about to be read.
+		blk, err := r.readBlockInto(0, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -360,14 +362,28 @@ func (r *Reader) MayContain(key []byte) bool {
 func (r *Reader) MayContainHash(h uint64) bool { return r.filter.MayContainHash(h) }
 
 func (r *Reader) readBlock(i int) ([]byte, error) {
-	e := r.index[i]
-	ck := cache.Key{File: r.id, Off: e.off}
+	ck := cache.Key{File: r.id, Off: r.index[i].off}
 	if r.cache != nil {
 		if b := r.cache.Get(ck); b != nil {
 			return b, nil
 		}
 	}
-	buf := make([]byte, e.length+4)
+	data, err := r.readBlockInto(i, nil)
+	if err == nil && r.cache != nil {
+		r.cache.Put(ck, data)
+	}
+	return data, err
+}
+
+// readBlockInto reads and checks block i from the file, reusing buf when
+// it is large enough. It never consults the cache.
+func (r *Reader) readBlockInto(i int, buf []byte) ([]byte, error) {
+	e := r.index[i]
+	if n := int(e.length) + 4; cap(buf) >= n {
+		buf = buf[:n]
+	} else {
+		buf = make([]byte, n)
+	}
 	if _, err := r.f.ReadAt(buf, int64(e.off)); err != nil {
 		return nil, err
 	}
@@ -375,9 +391,6 @@ func (r *Reader) readBlock(i int) ([]byte, error) {
 	want := binary.LittleEndian.Uint32(buf[e.length:])
 	if crc32.ChecksumIEEE(data) != want {
 		return nil, ErrCorrupt
-	}
-	if r.cache != nil {
-		r.cache.Put(ck, data)
 	}
 	return data, nil
 }
@@ -407,12 +420,38 @@ type Iterator struct {
 	key, val []byte
 	err      error
 	valid    bool
+	// seqBuf is the one block buffer of a sequential iterator, which
+	// reads past the cache; nil for an iterator that reads through it.
+	seqBuf []byte
 }
 
 // Iter returns an unpositioned iterator; call First or SeekGE. It is
 // returned by value so a point probe keeps it on its own stack; a caller
 // that stores the iterator takes its address.
 func (r *Reader) Iter() Iterator { return Iterator{r: r, blockIdx: -1} }
+
+// SeqIter returns an unpositioned iterator for one pass over a table
+// that is about to be dropped, as a compaction reads its inputs. It
+// reads every block into one buffer it reuses and leaves the cache
+// alone: no lookups, no insertions, so the blocks live readers use stay
+// cached. Key and Value alias that buffer and are valid only until the
+// next positioning call.
+func (r *Reader) SeqIter() Iterator {
+	return Iterator{r: r, blockIdx: -1, seqBuf: make([]byte, 0, TargetBlockSize+4)}
+}
+
+// load reads block i the way the iterator reads: through the cache, or
+// into its own buffer for a sequential iterator.
+func (it *Iterator) load(i int) ([]byte, error) {
+	if it.seqBuf == nil {
+		return it.r.readBlock(i)
+	}
+	blk, err := it.r.readBlockInto(i, it.seqBuf)
+	if err == nil {
+		it.seqBuf = blk[:0]
+	}
+	return blk, err
+}
 
 // First positions at the smallest entry.
 func (it *Iterator) First() {
@@ -444,7 +483,7 @@ func (it *Iterator) SeekGE(target []byte) {
 		return
 	}
 	it.blockIdx = i
-	blk, err := it.r.readBlock(i)
+	blk, err := it.load(i)
 	if err != nil {
 		it.err = err
 		return
@@ -493,7 +532,7 @@ func (it *Iterator) Next() {
 			it.valid = false
 			return
 		}
-		blk, err := it.r.readBlock(it.blockIdx)
+		blk, err := it.load(it.blockIdx)
 		if err != nil {
 			it.err = err
 			it.valid = false

@@ -46,6 +46,10 @@ func buildTable(t *testing.T, n int, props map[string]uint64) (*Reader, func()) 
 	return r, func() { rf.Close() }
 }
 
+// TestWriteReadRoundTrip reads a table back through the cached iterator
+// and through the sequential one, which must see the same entries
+// without a single cache lookup or insertion: opening the table leaves
+// the cache empty, and the sequential pass keeps it so.
 func TestWriteReadRoundTrip(t *testing.T) {
 	const n = 5000
 	r, done := buildTable(t, n, nil)
@@ -56,23 +60,35 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if string(r.Smallest()) != "key-000000" || string(r.Largest()) != fmt.Sprintf("key-%06d", n-1) {
 		t.Fatalf("bounds = %q..%q", r.Smallest(), r.Largest())
 	}
-	it := r.Iter()
-	it.First()
-	for i := 0; i < n; i++ {
-		if !it.Valid() {
-			t.Fatalf("iterator ended early at %d: %v", i, it.Err())
+	for _, seq := range []bool{true, false} {
+		it := r.Iter()
+		if seq {
+			it = r.SeqIter()
 		}
-		wantK := fmt.Sprintf("key-%06d", i)
-		if string(it.Key()) != wantK || string(it.Value()) != fmt.Sprintf("value-%06d", i) {
-			t.Fatalf("entry %d = %q/%q", i, it.Key(), it.Value())
+		it.First()
+		for i := 0; i < n; i++ {
+			if !it.Valid() {
+				t.Fatalf("seq=%v: iterator ended early at %d: %v", seq, i, it.Err())
+			}
+			wantK := fmt.Sprintf("key-%06d", i)
+			if string(it.Key()) != wantK || string(it.Value()) != fmt.Sprintf("value-%06d", i) {
+				t.Fatalf("seq=%v: entry %d = %q/%q", seq, i, it.Key(), it.Value())
+			}
+			it.Next()
 		}
-		it.Next()
-	}
-	if it.Valid() {
-		t.Fatal("iterator should be exhausted")
-	}
-	if it.Err() != nil {
-		t.Fatal(it.Err())
+		if it.Valid() {
+			t.Fatalf("seq=%v: iterator should be exhausted", seq)
+		}
+		if it.Err() != nil {
+			t.Fatal(it.Err())
+		}
+		hits, misses := r.cache.Stats()
+		if seq && (hits != 0 || misses != 0 || r.cache.Used() != 0) {
+			t.Fatalf("sequential pass touched the cache: %d hits, %d misses, %d bytes", hits, misses, r.cache.Used())
+		}
+		if !seq && (misses == 0 || r.cache.Used() == 0) {
+			t.Fatalf("cached pass filled no cache: %d misses, %d bytes", misses, r.cache.Used())
+		}
 	}
 }
 
