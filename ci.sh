@@ -70,6 +70,15 @@ echo "== go test -race (crash recovery, full)"
 # ring leaving no goroutine behind) ride in the same pass.
 go test -race -timeout 10m ./internal/replay/ ./internal/campaign/
 
+echo "== go test -race (run driver and watchdog, repeated)"
+# Every public run entry point goes through one driver. Five repeats
+# under the race detector of the entry-point contract (same final state
+# as Replay, one Observer call per collector, ErrStalled with Degraded
+# partial results on a blocking store) and of the watchdog and stall
+# tests, recovery runs whose later attempts join the watchdog mid-run
+# among them.
+go test -race -count=5 -timeout 10m -run 'TestEntryPointContract|Watchdog|Stall' . ./internal/replay/
+
 echo "== open-loop smoke"
 # End-to-end open-loop run: drifting-hotspot workload replayed under a
 # Poisson arrival schedule with coordinated-omission-free latency and an

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -106,7 +107,7 @@ func runRecovery(cfg gadget.Config, w *gadget.Workload, metricsAddr, reportPath 
 	if last != nil {
 		defer last.Close()
 	}
-	if err != nil {
+	if err != nil && !errors.Is(err, gadget.ErrStalled) {
 		tel.finish(res, cfg)
 		return err
 	}
@@ -119,6 +120,9 @@ func runRecovery(cfg gadget.Config, w *gadget.Workload, metricsAddr, reportPath 
 		fmt.Printf("checkpoint %s (every %d ops)\n", ckDir, cfg.Run.CheckpointEveryOps)
 	}
 	printResult(res)
+	if errors.Is(err, gadget.ErrStalled) {
+		return fmt.Errorf("run stalled after %d ops (partial results above)", res.Ops)
+	}
 	return nil
 }
 

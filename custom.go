@@ -33,7 +33,7 @@ func NewEventSource(sc SourceConfig, twoStream bool) (EventSource, error) {
 // Drive pulls src to exhaustion through op, passing every state access
 // to emit — the raw harness loop (paper Algorithm 1) for custom setups.
 func Drive(src EventSource, op Operator, emit EmitFunc) {
-	core.Drive(src, op, emit)
+	core.DriveUntil(src, op, emit, nil)
 }
 
 // GenerateCustom materializes the state access stream of a custom
@@ -47,24 +47,25 @@ func GenerateCustom(src EventSource, op Operator) []Access {
 // With ReplayOptions.StallTimeout set, a stalled run returns its partial
 // Result (Degraded=true) with ErrStalled instead of hanging.
 func RunCustomOnline(src EventSource, op Operator, store Store, opts ReplayOptions) (Result, error) {
-	c, err := replay.NewCollector(store, opts)
-	if err != nil {
+	res, err := replay.Drive([]Store{store}, opts, func(_ int, c *replay.Collector) error {
+		return online(src, op, c)
+	})
+	if len(res) == 0 {
 		return Result{}, err
 	}
-	var res Result
+	return res[0], err
+}
+
+// online issues every state access op produces over src to c, and stops
+// generating events once c gives up on a failing store.
+func online(src EventSource, op Operator, c *replay.Collector) error {
 	var applyErr error
-	stalled := replay.Guard(opts.StallTimeout, []*replay.Collector{c}, func() {
-		core.Drive(src, op, func(a Access) {
-			if applyErr == nil {
-				applyErr = c.Do(a)
-			}
-		})
-		res = c.Finish()
-	})
-	if stalled {
-		return c.Snapshot(), ErrStalled
-	}
-	return res, applyErr
+	core.DriveUntil(src, op, func(a Access) {
+		if applyErr == nil {
+			applyErr = c.Do(a)
+		}
+	}, func() bool { return applyErr != nil })
+	return applyErr
 }
 
 // Watermark items and event kinds, re-exported for custom sources and

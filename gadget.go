@@ -29,7 +29,6 @@ package gadget
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"gadget/internal/analysis"
 	"gadget/internal/campaign"
@@ -356,24 +355,7 @@ func (w *Workload) RunOnline(store Store, opts ReplayOptions) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	c, err := replay.NewCollector(store, opts)
-	if err != nil {
-		return Result{}, err
-	}
-	var res Result
-	var applyErr error
-	stalled := replay.Guard(opts.StallTimeout, []*replay.Collector{c}, func() {
-		core.DriveUntil(src, op, func(a Access) {
-			if applyErr == nil {
-				applyErr = c.Do(a)
-			}
-		}, func() bool { return applyErr != nil })
-		res = c.Finish()
-	})
-	if stalled {
-		return c.Snapshot(), ErrStalled
-	}
-	return res, applyErr
+	return RunCustomOnline(src, op, store, opts)
 }
 
 // RunOpenLoop generates the workload's state access stream, then
@@ -533,55 +515,14 @@ func (w *Workload) RunPartitioned(stores []Store, opts ReplayOptions) ([]Result,
 	if err != nil {
 		return nil, err
 	}
-	op := w.cfg.Operator
-	parts := eventgen.Partition(src, len(stores))
-	cols := make([]*replay.Collector, len(parts))
-	for i := range parts {
-		c, err := replay.NewCollector(stores[i], opts)
-		if err != nil {
+	ops := make([]Operator, len(stores))
+	for i := range ops {
+		if ops[i], err = w.cfg.BuildOperator(); err != nil {
 			return nil, err
 		}
-		cols[i] = c
 	}
-	results := make([]Result, len(parts))
-	errs := make([]error, len(parts))
-	stalled := replay.Guard(opts.StallTimeout, cols, func() {
-		var wg sync.WaitGroup
-		for i := range parts {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				inst, err := core.New(op)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				c := cols[i]
-				var applyErr error
-				core.DriveUntil(parts[i], inst, func(a Access) {
-					if applyErr == nil {
-						applyErr = c.Do(a)
-					}
-				}, func() bool { return applyErr != nil })
-				results[i] = c.Finish()
-				errs[i] = applyErr
-			}(i)
-		}
-		wg.Wait()
+	parts := eventgen.Partition(src, len(stores))
+	return replay.Drive(stores, opts, func(i int, c *replay.Collector) error {
+		return online(parts[i], ops[i], c)
 	})
-	if stalled {
-		// Abandoned workers may still write results/errs as they unwind;
-		// snapshot into a fresh slice instead.
-		partial := make([]Result, len(cols))
-		for i, c := range cols {
-			partial[i] = c.Snapshot()
-		}
-		return partial, ErrStalled
-	}
-	for _, err := range errs {
-		if err != nil {
-			return results, err
-		}
-	}
-	return results, nil
 }

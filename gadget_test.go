@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"gadget/internal/eventgen"
 	"gadget/internal/remote"
 )
 
@@ -290,5 +291,39 @@ func TestRunPartitionedStopsOnFailingStore(t *testing.T) {
 	}
 	if st.count() >= len(full)/2 {
 		t.Fatalf("run was not cut short: %d of %d accesses issued", st.count(), len(full))
+	}
+}
+
+// countingSource counts the items pulled from the source it wraps.
+type countingSource struct {
+	EventSource
+	pulled int
+}
+
+func (s *countingSource) Next() (eventgen.Item, bool) {
+	s.pulled++
+	return s.EventSource.Next()
+}
+
+// A custom operator's run gives up on a failing store like a built-in
+// one: generation stops once the evaluator's fatal-error limit (100)
+// trips, instead of draining the whole source.
+func TestRunCustomOnlineStopsOnFailingStore(t *testing.T) {
+	cfg := smallCfg(TumblingIncr)
+	cfg.Source.Events = 20000
+	src, err := NewEventSource(cfg.Source, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op, err := NewOperator(cfg.Operator)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counted := &countingSource{EventSource: src}
+	if _, err := RunCustomOnline(counted, op, &failingStore{}, ReplayOptions{}); err == nil {
+		t.Fatal("RunCustomOnline with a failing store should report an error")
+	}
+	if counted.pulled > 1000 {
+		t.Fatalf("run was not cut short: %d source items pulled for a 100-error limit", counted.pulled)
 	}
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // This file implements the open-loop replay driver. The closed-loop
-// replayer (Run/RunSource) issues the next operation only after the
+// replayer (Run) issues the next operation only after the
 // previous one returns, so a store stall silently delays every
 // subsequent *request* and the measured latencies hide the backlog —
 // the coordinated-omission trap. The open-loop driver instead assigns
@@ -90,19 +90,11 @@ func (o OpenLoopOptions) Validate() error {
 	if o.MaxInFlight < 0 {
 		return fmt.Errorf("replay: max in-flight must be non-negative, got %d", o.MaxInFlight)
 	}
-	if o.SampleEvery < 0 {
-		return fmt.Errorf("replay: sample interval must be non-negative, got %d", o.SampleEvery)
+	rate := o.Rate
+	if o.Arrivals != nil {
+		rate = 0 // an explicit schedule sets no fixed gap
 	}
-	if o.StallTimeout < 0 {
-		return fmt.Errorf("replay: stall timeout must be non-negative, got %v", o.StallTimeout)
-	}
-	if o.Arrivals == nil && o.Rate > 0 && o.StallTimeout > 0 {
-		if gap := time.Duration(float64(time.Second) / o.Rate); gap >= o.StallTimeout {
-			return fmt.Errorf("replay: stall timeout %v must exceed the %v arrival gap of rate %v",
-				o.StallTimeout, gap, o.Rate)
-		}
-	}
-	return nil
+	return validateRun(o.SampleEvery, o.StallTimeout, rate, "arrival gap of rate")
 }
 
 // pending is one admitted arrival waiting in the in-flight ring.
@@ -112,19 +104,12 @@ type pending struct {
 }
 
 // RunOpenLoop replays a materialized trace against store under an
-// open-loop arrival schedule.
+// open-loop arrival schedule. One dispatch loop admits arrivals as they
+// fall due and applies them in trace order, so the final store state is
+// identical to a closed-loop replay of the same trace; only the timing
+// measurements differ. With StallTimeout set, a stalled run returns its
+// partial Result (Degraded=true) and ErrStalled.
 func RunOpenLoop(store kv.Store, trace []kv.Access, opts OpenLoopOptions) (Result, error) {
-	return RunOpenLoopSource(store, NewSliceSource(trace), opts)
-}
-
-// RunOpenLoopSource replays a streaming access source against store
-// under an open-loop arrival schedule. One dispatch loop on the calling
-// goroutine admits arrivals as they fall due and applies them in source
-// order, so the final store state is identical to a closed-loop replay
-// of the same source; only the timing measurements differ. With
-// StallTimeout set, a stalled run returns its partial Result
-// (Degraded=true) and ErrStalled.
-func RunOpenLoopSource(store kv.Store, src Source, opts OpenLoopOptions) (Result, error) {
 	if err := opts.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -141,27 +126,12 @@ func RunOpenLoopSource(store kv.Store, src Source, opts OpenLoopOptions) (Result
 		depth = DefaultMaxInFlight
 	}
 	wait := newWaiter(clock)
-	// Build the collector without the Observer: open-loop accounting must
-	// be armed before any telemetry sampler can snapshot the collector.
-	c, err := NewCollector(store, Options{SampleEvery: opts.SampleEvery, StallTimeout: opts.StallTimeout, Tracer: opts.Tracer})
-	if err != nil {
-		return Result{}, err
-	}
-	c.enableOpenLoop(clock)
-	if opts.Observer != nil {
-		opts.Observer(c)
-	}
-
-	var res Result
-	var runErr error
-	stalled := Guard(opts.StallTimeout, []*Collector{c}, func() {
-		runErr = c.dispatch(src, sched, make([]pending, depth), wait)
-		res = c.Finish()
-	})
-	if stalled {
-		return c.Snapshot(), ErrStalled
-	}
-	return res, runErr
+	d := &driver{clock: clock, opts: Options{
+		SampleEvery: opts.SampleEvery, StallTimeout: opts.StallTimeout, Observer: opts.Observer, Tracer: opts.Tracer,
+	}}
+	return one(d.drive([]kv.Store{store}, func(_ int, c *Collector) error {
+		return c.dispatch(NewSliceSource(trace), sched, make([]pending, depth), wait)
+	}))
 }
 
 // dispatch is the open-loop driver: one loop that admits every arrival

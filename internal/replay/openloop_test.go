@@ -280,11 +280,7 @@ func TestDoAtCoordinatedOmissionSimClock(t *testing.T) {
 	clk := newSimClock()
 	st := &simStallStore{Store: memstore.New(), clk: clk, stallEvery: 100, stall: 50 * time.Millisecond}
 	defer st.Close()
-	c, err := NewCollector(st, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.enableOpenLoop(clk)
+	c := newCollector(st, Options{}, clk)
 	t0 := clk.Now()
 	const gap = time.Millisecond
 	for i := 0; i < 1000; i++ {
@@ -453,25 +449,6 @@ func TestOpenLoopOverloadCountedNotDropped(t *testing.T) {
 	}
 	if res.Degraded {
 		t.Fatal("overload alone must not degrade the run")
-	}
-}
-
-func TestOpenLoopWatchdogAbortsStalledRun(t *testing.T) {
-	st := &stallStore{Store: memstore.New(), stallAt: 50, release: make(chan struct{})}
-	defer st.Close()
-	defer close(st.release)
-	res, err := RunOpenLoop(st, putTrace(1000), OpenLoopOptions{Rate: 100_000, StallTimeout: 30 * time.Millisecond})
-	if err != ErrStalled {
-		t.Fatalf("err = %v, want ErrStalled", err)
-	}
-	if !res.Degraded {
-		t.Fatal("partial result not tagged Degraded")
-	}
-	if res.Ops != 49 {
-		t.Fatalf("partial ops = %d, want 49", res.Ops)
-	}
-	if res.Offered < res.Ops {
-		t.Fatalf("offered %d < ops %d", res.Offered, res.Ops)
 	}
 }
 

@@ -80,8 +80,11 @@ func (o RecoveryOptions) Validate() error {
 // Ops - ReplayedOps == len(trace) on a clean finish), Duration is the
 // sum of attempt durations plus downtime, and the recovery fields
 // (Recoveries, RecoveryTime, ReplayedOps, Checkpoints, CheckpointCost)
-// aggregate the whole run. The final attempt's store is left open for
-// the caller to inspect and close — capture it in the factory.
+// aggregate the whole run. Every attempt's collector runs under the one
+// run watchdog, so with StallTimeout set a stalled attempt returns the
+// folded partial Result (Degraded=true) and ErrStalled. The final
+// attempt's store is left open for the caller to inspect and close —
+// capture it in the factory.
 func RunWithRecovery(open StoreFactory, trace []kv.Access, opts RecoveryOptions) (Result, error) {
 	if err := opts.Validate(); err != nil {
 		return Result{}, err
@@ -90,73 +93,61 @@ func RunWithRecovery(open StoreFactory, trace []kv.Access, opts RecoveryOptions)
 	if err != nil {
 		return Result{}, err
 	}
-	c, err := NewCollector(att.Store, opts.Options)
-	if err != nil {
-		return Result{}, err
-	}
-
-	var attempts []Result
-	seal := func() { attempts = append(attempts, c.Finish()) }
-	fail := func(err error) (Result, error) {
-		seal()
-		return foldAttempts(attempts), err
-	}
-
-	cursor := uint64(0) // logical position: trace[cursor] is next
-	crashIdx := 0
-	attempt := 0
-	for cursor < uint64(len(trace)) {
-		if crashIdx < len(opts.CrashAtOps) && cursor == opts.CrashAtOps[crashIdx] {
-			crashIdx++
-			attempt++
-			crashedAt := time.Now()
-			seal()
-			if att.Crash != nil {
-				att.Crash()
-			} else {
-				att.Store.Close()
-			}
-			if att, err = open(attempt); err != nil {
-				return foldAttempts(attempts), fmt.Errorf("replay: reopening store after crash %d: %w", attempt, err)
-			}
-			watermark := uint64(0)
-			if opts.Checkpointer != nil {
-				info, err := opts.Checkpointer.Restore(att.Store)
-				if err != nil {
+	d := &driver{opts: opts.Options}
+	attempts, err := d.drive([]kv.Store{att.Store}, func(_ int, c *Collector) error {
+		cursor := uint64(0) // logical position: trace[cursor] is next
+		crashIdx := 0
+		for cursor < uint64(len(trace)) {
+			if crashIdx < len(opts.CrashAtOps) && cursor == opts.CrashAtOps[crashIdx] {
+				crashIdx++
+				crashedAt := time.Now()
+				c.Finish()
+				if att.Crash != nil {
+					att.Crash()
+				} else {
 					att.Store.Close()
-					return foldAttempts(attempts), fmt.Errorf("replay: restoring checkpoint after crash %d: %w", attempt, err)
 				}
-				watermark = info.Meta.Watermark
+				var err error
+				if att, err = open(crashIdx); err != nil {
+					return fmt.Errorf("replay: reopening store after crash %d: %w", crashIdx, err)
+				}
+				watermark := uint64(0)
+				if opts.Checkpointer != nil {
+					info, err := opts.Checkpointer.Restore(att.Store)
+					if err != nil {
+						att.Store.Close()
+						return fmt.Errorf("replay: restoring checkpoint after crash %d: %w", crashIdx, err)
+					}
+					watermark = info.Meta.Watermark
+				}
+				// Downtime ends here: the store is open and restored, ready to
+				// re-apply the delta. The new collector's clock starts after,
+				// so RTO and attempt durations never overlap.
+				downtime := time.Since(crashedAt)
+				c = d.collector(att.Store)
+				if watermark > cursor {
+					return fmt.Errorf("replay: checkpoint watermark %d is past the crash point %d", watermark, cursor)
+				}
+				c.NoteRecovery(downtime, cursor-watermark)
+				cursor = watermark
+				continue
 			}
-			// Downtime ends here: the store is open and restored, ready to
-			// re-apply the delta. The new collector's clock starts after,
-			// so RTO and attempt durations never overlap.
-			downtime := time.Since(crashedAt)
-			if c, err = NewCollector(att.Store, opts.Options); err != nil {
-				return foldAttempts(attempts), err
+			if err := c.Do(trace[cursor]); err != nil {
+				return err
 			}
-			if watermark > cursor {
-				return fail(fmt.Errorf("replay: checkpoint watermark %d is past the crash point %d", watermark, cursor))
+			cursor++
+			if opts.CheckpointEvery > 0 && cursor%opts.CheckpointEvery == 0 && cursor < uint64(len(trace)) {
+				t0 := time.Now()
+				_, bytes, err := opts.Checkpointer.Save(att.Store, cursor)
+				if err != nil {
+					return fmt.Errorf("replay: checkpoint at op %d: %w", cursor, err)
+				}
+				c.NoteCheckpoint(time.Since(t0), uint64(bytes))
 			}
-			c.NoteRecovery(downtime, cursor-watermark)
-			cursor = watermark
-			continue
 		}
-		if err := c.Do(trace[cursor]); err != nil {
-			return fail(err)
-		}
-		cursor++
-		if opts.CheckpointEvery > 0 && cursor%opts.CheckpointEvery == 0 && cursor < uint64(len(trace)) {
-			t0 := time.Now()
-			_, bytes, err := opts.Checkpointer.Save(att.Store, cursor)
-			if err != nil {
-				return fail(fmt.Errorf("replay: checkpoint at op %d: %w", cursor, err))
-			}
-			c.NoteCheckpoint(time.Since(t0), uint64(bytes))
-		}
-	}
-	seal()
-	return foldAttempts(attempts), nil
+		return nil
+	})
+	return foldAttempts(attempts), err
 }
 
 // foldAttempts merges sequential attempt results into one run view.

@@ -2,9 +2,12 @@ package replay_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"gadget/internal/kv"
 	"gadget/internal/memstore"
@@ -214,6 +217,98 @@ func TestRunWithRecoveryCorruptNewestFallsBack(t *testing.T) {
 		t.Fatalf("recoveries=%d replayed=%d, want 1/300 (fallback to previous checkpoint)", res.Recoveries, res.ReplayedOps)
 	}
 	sameState(t, last, want)
+}
+
+// blockingStore blocks every Put after its first `after` until release
+// closes.
+type blockingStore struct {
+	kv.Store
+	after   int64
+	puts    atomic.Int64
+	release chan struct{}
+}
+
+func (s *blockingStore) Put(key, value []byte) error {
+	if s.puts.Add(1) > s.after {
+		<-s.release
+	}
+	return s.Store.Put(key, value)
+}
+
+// recoverWithin runs RunWithRecovery and fails the test if it has not
+// returned within 2 s — a run the watchdog does not cover hangs.
+func recoverWithin(t *testing.T, open replay.StoreFactory, trace []kv.Access, opts replay.RecoveryOptions) (replay.Result, error) {
+	t.Helper()
+	type outcome struct {
+		res replay.Result
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := replay.RunWithRecovery(open, trace, opts)
+		done <- outcome{res, err}
+	}()
+	select {
+	case o := <-done:
+		return o.res, o.err
+	case <-time.After(2 * time.Second):
+		t.Fatal("RunWithRecovery still blocked after 2s: the watchdog does not cover recovery runs")
+		return replay.Result{}, nil
+	}
+}
+
+func putOnlyTrace(n int) []kv.Access {
+	out := make([]kv.Access, n)
+	for i := range out {
+		out[i] = kv.Access{Op: kv.OpPut, Key: kv.StateKey{Group: uint64(i % 16), Sub: uint64(i)}, Size: 8}
+	}
+	return out
+}
+
+// A store blocking in Put must trip the run watchdog in recovery mode
+// exactly as in a plain run.
+func TestRunWithRecoveryWatchdog(t *testing.T) {
+	st := &blockingStore{Store: memstore.New(), after: 50, release: make(chan struct{})}
+	defer st.Close()
+	defer close(st.release)
+	open := func(int) (replay.Attempt, error) { return replay.Attempt{Store: st}, nil }
+	res, err := recoverWithin(t, open, putOnlyTrace(1000), replay.RecoveryOptions{
+		Options:    replay.Options{StallTimeout: 30 * time.Millisecond},
+		CrashAtOps: []uint64{900},
+	})
+	if !errors.Is(err, replay.ErrStalled) {
+		t.Fatalf("err = %v, want ErrStalled", err)
+	}
+	if !res.Degraded || res.Ops != 50 {
+		t.Fatalf("partial result: degraded=%v ops=%d, want degraded with 50 ops", res.Degraded, res.Ops)
+	}
+}
+
+// The second attempt's collector joins the watchdog mid-run: a stall
+// after a crash aborts the run too, and the partial result folds the
+// sealed first attempt with the stalled second one.
+func TestRunWithRecoveryWatchdogAfterCrash(t *testing.T) {
+	st := &blockingStore{Store: memstore.New(), after: 30, release: make(chan struct{})}
+	defer st.Close()
+	defer close(st.release)
+	open := func(attempt int) (replay.Attempt, error) {
+		if attempt == 0 {
+			return replay.Attempt{Store: memstore.New()}, nil
+		}
+		return replay.Attempt{Store: st}, nil
+	}
+	res, err := recoverWithin(t, open, putOnlyTrace(1000), replay.RecoveryOptions{
+		Options:    replay.Options{StallTimeout: 30 * time.Millisecond},
+		CrashAtOps: []uint64{20},
+	})
+	if !errors.Is(err, replay.ErrStalled) {
+		t.Fatalf("err = %v, want ErrStalled", err)
+	}
+	// 20 ops before the crash, then a full replay that stalls after 30.
+	if !res.Degraded || res.Ops != 50 || res.Recoveries != 1 || res.ReplayedOps != 20 {
+		t.Fatalf("partial result: degraded=%v ops=%d recoveries=%d replayed=%d, want degraded 50/1/20",
+			res.Degraded, res.Ops, res.Recoveries, res.ReplayedOps)
+	}
 }
 
 func TestRecoveryOptionsValidate(t *testing.T) {

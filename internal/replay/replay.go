@@ -62,16 +62,23 @@ func (o Options) Validate() error {
 	if o.ServiceRate < 0 {
 		return fmt.Errorf("replay: service rate must be non-negative, got %v", o.ServiceRate)
 	}
-	if o.SampleEvery < 0 {
-		return fmt.Errorf("replay: sample interval must be non-negative, got %d", o.SampleEvery)
+	return validateRun(o.SampleEvery, o.StallTimeout, o.ServiceRate, "pacing gap of service rate")
+}
+
+// validateRun holds the checks closed- and open-loop options share:
+// non-negative sampling interval and stall timeout, and a stall timeout
+// longer than the gap between operations that rate imposes (rate 0
+// imposes none). gap names that gap in the error.
+func validateRun(sampleEvery int, stall time.Duration, rate float64, gap string) error {
+	if sampleEvery < 0 {
+		return fmt.Errorf("replay: sample interval must be non-negative, got %d", sampleEvery)
 	}
-	if o.StallTimeout < 0 {
-		return fmt.Errorf("replay: stall timeout must be non-negative, got %v", o.StallTimeout)
+	if stall < 0 {
+		return fmt.Errorf("replay: stall timeout must be non-negative, got %v", stall)
 	}
-	if o.ServiceRate > 0 && o.StallTimeout > 0 {
-		if gap := time.Duration(float64(time.Second) / o.ServiceRate); gap >= o.StallTimeout {
-			return fmt.Errorf("replay: stall timeout %v must exceed the %v pacing gap of service rate %v",
-				o.StallTimeout, gap, o.ServiceRate)
+	if rate > 0 && stall > 0 {
+		if g := time.Duration(float64(time.Second) / rate); g >= stall {
+			return fmt.Errorf("replay: stall timeout %v must exceed the %v %s %v", stall, g, gap, rate)
 		}
 	}
 	return nil
@@ -327,43 +334,39 @@ func (s *SliceSource) Next() (kv.Access, bool) {
 	return a, true
 }
 
-// Run replays a materialized trace against store.
-func Run(store kv.Store, trace []kv.Access, opts Options) (Result, error) {
-	return RunSource(store, NewSliceSource(trace), opts)
-}
-
-// RunSource replays a streaming access source against store. With
+// Run replays a materialized trace against store. With
 // Options.StallTimeout set, a stalled run returns its partial Result
 // (Degraded=true) and ErrStalled instead of hanging.
-func RunSource(store kv.Store, src Source, opts Options) (Result, error) {
-	c, err := NewCollector(store, opts)
-	if err != nil {
+func Run(store kv.Store, trace []kv.Access, opts Options) (Result, error) {
+	return one(Drive([]kv.Store{store}, opts, func(_ int, c *Collector) error {
+		return c.drain(NewSliceSource(trace))
+	}))
+}
+
+// one returns the Result of a one-worker run.
+func one(res []Result, err error) (Result, error) {
+	if len(res) == 0 {
 		return Result{}, err
 	}
-	var res Result
-	var runErr error
-	stalled := Guard(opts.StallTimeout, []*Collector{c}, func() {
-		for {
-			a, ok := src.Next()
-			if !ok {
-				break
-			}
-			if err := c.Do(a); err != nil {
-				runErr = err
-				break
-			}
+	return res[0], err
+}
+
+// drain feeds src into Do until src ends or Do fails.
+func (c *Collector) drain(src Source) error {
+	for {
+		a, ok := src.Next()
+		if !ok {
+			return nil
 		}
-		res = c.Finish()
-	})
-	if stalled {
-		return c.Snapshot(), ErrStalled
+		if err := c.Do(a); err != nil {
+			return err
+		}
 	}
-	return res, runErr
 }
 
 // Collector measures accesses applied one at a time — the online mode of
 // the harness, where the workload generator issues requests to the store
-// as it produces them. Counter updates are atomic so a Watchdog can
+// as it produces them. Counter updates are atomic so the run watchdog can
 // Snapshot a collector owned by another (possibly stuck) goroutine.
 type Collector struct {
 	store  kv.Store
@@ -385,9 +388,10 @@ type Collector struct {
 	// pace holds a ServiceRate run to its schedule (nil when unpaced).
 	pace *waiter
 
-	// Open-loop accounting, armed by enableOpenLoop. The clock is the
-	// dispatch loop's notion of time (a fake in simulated-clock tests), so
-	// intended-arrival latencies stay on one timeline with the schedule.
+	// Open-loop accounting, armed at construction for open-loop runs. The
+	// clock is the dispatch loop's notion of time (a fake in
+	// simulated-clock tests), so intended-arrival latencies stay on one
+	// timeline with the schedule.
 	clock    Clock
 	offered  atomic.Uint64
 	overload atomic.Uint64
@@ -422,6 +426,14 @@ func NewCollector(store kv.Store, opts Options) (*Collector, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
+	return newCollector(store, opts, nil), nil
+}
+
+// newCollector is NewCollector for validated options. A non-nil clock
+// arms open-loop accounting — the intended-arrival histogram, and the
+// clock the run's time is read on — before opts.Observer sees the
+// collector.
+func newCollector(store kv.Store, opts Options, clock Clock) *Collector {
 	sample := opts.SampleEvery
 	if sample == 0 {
 		sample = 1
@@ -440,25 +452,19 @@ func NewCollector(store kv.Store, opts Options) (*Collector, error) {
 		c.base = rep.ResilienceCounters()
 	}
 	c.introBase = kv.MetricsOf(store)
+	if clock != nil {
+		c.clock, c.start = clock, clock.Now()
+		c.res.IntendedLatency = stats.NewHistogram()
+	}
 	if opts.Observer != nil {
 		opts.Observer(c)
 	}
-	return c, nil
+	return c
 }
 
 // Store returns the store this collector measures (telemetry samplers
 // reached via Options.Observer use it to introspect the engine).
 func (c *Collector) Store() kv.Store { return c.store }
-
-// enableOpenLoop arms the collector's open-loop accounting: the
-// intended-arrival latency histogram and the clock shared with the
-// dispatch loop, on which the run restarts. Must be called before the
-// first operation (and before the collector is handed to any Observer).
-func (c *Collector) enableOpenLoop(clock Clock) {
-	c.clock = clock
-	c.start = clock.Now()
-	c.res.IntendedLatency = stats.NewHistogram()
-}
 
 // elapsed is the time since the run started, on the run's own clock.
 func (c *Collector) elapsed() time.Duration {
@@ -630,18 +636,20 @@ func (c *Collector) fill(res *Result) {
 	}
 }
 
-// Finish seals the run and returns its measurements.
+// Finish seals the run and returns its measurements. Later calls return
+// the same sealed measurements.
 func (c *Collector) Finish() Result {
 	c.sealMu.Lock()
 	defer c.sealMu.Unlock()
-	c.finished.Store(true)
-	c.fill(&c.res)
+	if !c.finished.Swap(true) {
+		c.fill(&c.res)
+	}
 	return c.res
 }
 
 // Snapshot returns a point-in-time copy of the measurements without
-// sealing the run. Safe to call concurrently with Do; the histograms are
-// copied.
+// sealing the run — of a sealed run, a copy of its sealed measurements.
+// Safe to call concurrently with Do; the histograms are copied.
 func (c *Collector) Snapshot() Result {
 	c.sealMu.Lock()
 	defer c.sealMu.Unlock()
@@ -656,7 +664,9 @@ func (c *Collector) Snapshot() Result {
 		res.IntendedLatency = stats.NewHistogram()
 		res.IntendedLatency.Merge(c.res.IntendedLatency)
 	}
-	c.fill(&res)
+	if !c.finished.Load() {
+		c.fill(&res)
+	}
 	return res
 }
 
@@ -732,50 +742,11 @@ func MergeResults(results []Result) Result {
 // With Options.StallTimeout set, one stalled worker aborts the whole run:
 // every worker's partial Result comes back Degraded with ErrStalled.
 func RunConcurrent(store kv.Store, traces [][]kv.Access, opts Options) ([]Result, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
+	stores := make([]kv.Store, len(traces))
+	for i := range stores {
+		stores[i] = store
 	}
-	cols := make([]*Collector, len(traces))
-	for i := range traces {
-		c, err := NewCollector(store, opts)
-		if err != nil {
-			return nil, err
-		}
-		cols[i] = c
-	}
-	results := make([]Result, len(traces))
-	errs := make([]error, len(traces))
-	stalled := Guard(opts.StallTimeout, cols, func() {
-		var wg sync.WaitGroup
-		for i, tr := range traces {
-			wg.Add(1)
-			go func(i int, tr []kv.Access) {
-				defer wg.Done()
-				c := cols[i]
-				for _, a := range tr {
-					if err := c.Do(a); err != nil {
-						errs[i] = err
-						break
-					}
-				}
-				results[i] = c.Finish()
-			}(i, tr)
-		}
-		wg.Wait()
+	return Drive(stores, opts, func(i int, c *Collector) error {
+		return c.drain(NewSliceSource(traces[i]))
 	})
-	if stalled {
-		// Abandoned workers may still write results/errs as they unwind;
-		// snapshot into a fresh slice instead.
-		partial := make([]Result, len(cols))
-		for i, c := range cols {
-			partial[i] = c.Snapshot()
-		}
-		return partial, ErrStalled
-	}
-	for _, err := range errs {
-		if err != nil {
-			return results, err
-		}
-	}
-	return results, nil
 }

@@ -2,7 +2,6 @@ package replay
 
 import (
 	"sort"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -221,46 +220,6 @@ func TestOptionsValidation(t *testing.T) {
 	}
 }
 
-// stallStore blocks one designated op until released; other ops hit the
-// wrapped memstore.
-type stallStore struct {
-	*memstore.Store
-	stallAt int64
-	n       atomic.Int64
-	release chan struct{}
-}
-
-func (s *stallStore) Put(key, value []byte) error {
-	if s.n.Add(1) == s.stallAt {
-		<-s.release
-	}
-	return s.Store.Put(key, value)
-}
-
-func TestWatchdogAbortsStalledRun(t *testing.T) {
-	st := &stallStore{Store: memstore.New(), stallAt: 50, release: make(chan struct{})}
-	defer st.Close()
-	defer close(st.release)
-	trace := make([]kv.Access, 1000)
-	for i := range trace {
-		trace[i] = kv.Access{Op: kv.OpPut, Key: kv.StateKey{Group: uint64(i)}, Size: 8}
-	}
-	start := time.Now()
-	res, err := Run(st, trace, Options{StallTimeout: 30 * time.Millisecond})
-	if err != ErrStalled {
-		t.Fatalf("err = %v, want ErrStalled", err)
-	}
-	if time.Since(start) > 5*time.Second {
-		t.Fatal("watchdog too slow")
-	}
-	if !res.Degraded {
-		t.Fatal("partial result not tagged Degraded")
-	}
-	if res.Ops != 49 {
-		t.Fatalf("partial ops = %d, want 49", res.Ops)
-	}
-}
-
 func TestWatchdogQuietOnHealthyRun(t *testing.T) {
 	st := memstore.New()
 	defer st.Close()
@@ -274,31 +233,6 @@ func TestWatchdogQuietOnHealthyRun(t *testing.T) {
 	}
 	if res.Degraded || res.Ops != 500 {
 		t.Fatalf("healthy run degraded: %+v", res)
-	}
-}
-
-func TestRunConcurrentWatchdog(t *testing.T) {
-	st := &stallStore{Store: memstore.New(), stallAt: 100, release: make(chan struct{})}
-	defer st.Close()
-	defer close(st.release)
-	mk := func(group uint64) []kv.Access {
-		out := make([]kv.Access, 5000)
-		for i := range out {
-			out[i] = kv.Access{Op: kv.OpPut, Key: kv.StateKey{Group: group, Sub: uint64(i)}, Size: 8}
-		}
-		return out
-	}
-	results, err := RunConcurrent(st, [][]kv.Access{mk(1), mk(2)}, Options{StallTimeout: 50 * time.Millisecond})
-	if err != ErrStalled {
-		t.Fatalf("err = %v, want ErrStalled", err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("results = %d", len(results))
-	}
-	for i, r := range results {
-		if !r.Degraded {
-			t.Fatalf("worker %d result not Degraded", i)
-		}
 	}
 }
 

@@ -1,9 +1,12 @@
 package replay
 
 import (
+	"cmp"
 	"errors"
 	"sync"
 	"time"
+
+	"gadget/internal/kv"
 )
 
 // ErrStalled is returned by watchdog-guarded runs when no operation
@@ -11,128 +14,149 @@ import (
 // partial results tagged Degraded.
 var ErrStalled = errors.New("replay: worker stalled; run aborted by watchdog")
 
-// Watchdog monitors the progress of one or more Collectors and aborts
-// them all when any one stalls — the run-level safety net the harness
-// arms around online and replay runs so a wedged store degrades the run
-// instead of hanging it.
+// driver is the package's one run loop: the collectors of one measured
+// run, one body per worker feeding them, and the stall watchdog over
+// all of it. Every Run* entry point builds its collectors here and hands
+// drive its bodies.
 //
-// Contract: a collector counts as making progress whenever an operation
-// completes (Collector.Do returns). A worker blocked inside a store call
-// past the timeout trips the watchdog; every watched collector is then
-// aborted (subsequent Do calls return ErrAborted) and Fired is closed.
-// The blocked call itself cannot be interrupted — pair the watchdog with
-// per-op deadlines (kv.ResilienceOptions.OpTimeout) to bound it; without
-// them, the stuck goroutine is abandoned and its result discarded.
-type Watchdog struct {
-	timeout time.Duration
+// Watchdog contract: a collector makes progress whenever an operation
+// completes (Collector.Do returns). When an unfinished collector makes
+// none for opts.StallTimeout, every collector is aborted (later Do calls
+// return ErrAborted) and drive returns at once. The blocked store call
+// itself cannot be interrupted — pair the watchdog with per-op deadlines
+// (kv.ResilienceOptions.OpTimeout) to bound it; without them the stuck
+// worker is abandoned and its result discarded.
+type driver struct {
+	opts  Options
+	clock Clock // non-nil arms open-loop accounting on every collector
 
 	mu   sync.Mutex
-	cols []*Collector
-
-	fired chan struct{}
-	stop  chan struct{}
-	once  sync.Once // guards firing
-	done  sync.Once // guards Stop
+	cols []*Collector // every collector of the run, in creation order
 }
 
-// NewWatchdog creates a watchdog with the given stall timeout.
-func NewWatchdog(timeout time.Duration) *Watchdog {
-	return &Watchdog{
-		timeout: timeout,
-		fired:   make(chan struct{}),
-		stop:    make(chan struct{}),
+// Drive runs one measured worker per store: it creates each store's
+// Collector (handing it to opts.Observer), runs body(i, c) for store i,
+// seals c as the body returns, and returns every worker's Result and the
+// first error. With opts.StallTimeout set, a stalled run returns fresh
+// partial Results tagged Degraded and ErrStalled instead of hanging.
+func Drive(stores []kv.Store, opts Options, body func(i int, c *Collector) error) ([]Result, error) {
+	return (&driver{opts: opts}).drive(stores, body)
+}
+
+// collector creates a collector on store and adds it to the run. The
+// watchdog watches it from its next tick on, so a collector created
+// mid-run — a recovery attempt's — is covered like the first.
+func (d *driver) collector(store kv.Store) *Collector {
+	c := newCollector(store, d.opts, d.clock)
+	d.mu.Lock()
+	d.cols = append(d.cols, c)
+	d.mu.Unlock()
+	return c
+}
+
+// drive creates one collector per store and runs body on each: a lone
+// worker without a watchdog on the calling goroutine, otherwise every
+// worker on its own. It returns the Result of every collector the run
+// created, in creation order, and the first worker error. On a stall
+// it returns their Snapshots tagged Degraded and ErrStalled; abandoned
+// workers unwind once their store call returns.
+func (d *driver) drive(stores []kv.Store, body func(i int, c *Collector) error) ([]Result, error) {
+	if err := d.opts.Validate(); err != nil {
+		return nil, err
 	}
-}
-
-// Watch adds a collector to the watch set.
-func (w *Watchdog) Watch(c *Collector) {
-	w.mu.Lock()
-	w.cols = append(w.cols, c)
-	w.mu.Unlock()
-}
-
-// Start begins monitoring in a background goroutine.
-func (w *Watchdog) Start() { go w.monitor() }
-
-// Stop ends monitoring. Idempotent; safe after the watchdog fired.
-func (w *Watchdog) Stop() { w.done.Do(func() { close(w.stop) }) }
-
-// Fired is closed when the watchdog detected a stall and aborted the
-// watched collectors.
-func (w *Watchdog) Fired() <-chan struct{} { return w.fired }
-
-func (w *Watchdog) monitor() {
-	interval := w.timeout / 4
-	if interval < time.Millisecond {
-		interval = time.Millisecond
+	for _, s := range stores {
+		d.collector(s)
 	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
+	workers := d.all()
+	errs := make([]error, len(workers))
+	work := func(i int) {
+		errs[i] = body(i, workers[i])
+		workers[i].Finish()
+	}
+	if d.opts.StallTimeout <= 0 && len(workers) == 1 {
+		work(0)
+	} else {
+		var wg sync.WaitGroup
+		wg.Add(len(workers))
+		for i := range workers {
+			go func() {
+				defer wg.Done()
+				work(i)
+			}()
+		}
+		done := make(chan struct{})
+		go func() {
+			wg.Wait()
+			close(done)
+		}()
+		stop := make(chan struct{})
+		defer close(stop)
 		select {
-		case <-w.stop:
-			return
-		case <-ticker.C:
-			if w.checkStalled() {
-				w.fire()
+		case <-done:
+		case <-d.watch(stop):
+			return d.results(func(c *Collector) Result {
+				r := c.Snapshot()
+				r.Degraded = true
+				return r
+			}), ErrStalled
+		}
+	}
+	return d.results((*Collector).Finish), cmp.Or(errs...)
+}
+
+// watch starts the watchdog, which checks every quarter timeout until
+// stop closes. The returned channel closes once it has aborted the run;
+// without a stall timeout it is nil and never does.
+func (d *driver) watch(stop <-chan struct{}) <-chan struct{} {
+	if d.opts.StallTimeout <= 0 {
+		return nil
+	}
+	fired := make(chan struct{})
+	go func() {
+		ticker := time.NewTicker(max(d.opts.StallTimeout/4, time.Millisecond))
+		defer ticker.Stop()
+		for {
+			select {
+			case <-stop:
 				return
+			case <-ticker.C:
+				if d.stalled() {
+					for _, c := range d.all() {
+						c.Abort()
+					}
+					close(fired)
+					return
+				}
 			}
 		}
-	}
+	}()
+	return fired
 }
 
-// checkStalled reports whether any unfinished collector has made no
-// progress within the timeout.
-func (w *Watchdog) checkStalled() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for _, c := range w.cols {
-		if c.finished.Load() {
-			continue
-		}
-		if c.elapsed()-time.Duration(c.lastProgress.Load()) > w.timeout {
+// stalled reports whether an unfinished collector has made no progress
+// within the timeout.
+func (d *driver) stalled() bool {
+	for _, c := range d.all() {
+		if !c.finished.Load() && c.elapsed()-time.Duration(c.lastProgress.Load()) > d.opts.StallTimeout {
 			return true
 		}
 	}
 	return false
 }
 
-func (w *Watchdog) fire() {
-	w.mu.Lock()
-	cols := append([]*Collector(nil), w.cols...)
-	w.mu.Unlock()
-	for _, c := range cols {
-		c.Abort()
-	}
-	w.once.Do(func() { close(w.fired) })
+// all returns the run's collectors, in creation order.
+func (d *driver) all() []*Collector {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return append([]*Collector(nil), d.cols...)
 }
 
-// Guard runs work under a watchdog over cols and reports whether the
-// watchdog fired. With timeout <= 0 it runs work inline and returns
-// false. When it returns true, work was abandoned mid-flight (its
-// goroutine unblocks once the stuck operation returns, and every
-// collector has been aborted); callers should return Snapshot results
-// tagged Degraded with ErrStalled.
-func Guard(timeout time.Duration, cols []*Collector, work func()) (stalled bool) {
-	if timeout <= 0 {
-		work()
-		return false
+// results applies f to every collector of the run, in creation order.
+func (d *driver) results(f func(*Collector) Result) []Result {
+	cols := d.all()
+	out := make([]Result, len(cols))
+	for i, c := range cols {
+		out[i] = f(c)
 	}
-	wd := NewWatchdog(timeout)
-	for _, c := range cols {
-		wd.Watch(c)
-	}
-	wd.Start()
-	defer wd.Stop()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		work()
-	}()
-	select {
-	case <-done:
-		return false
-	case <-wd.Fired():
-		return true
-	}
+	return out
 }
