@@ -20,6 +20,12 @@ go vet ./...
 echo "== go build"
 go build ./...
 
+echo "== non-test lines"
+# Informational, not a gate: the module's non-test Go, bench/ and
+# results/ excluded, counted the same way in every change so claims of
+# "less code" read against one number.
+find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './results/*' | xargs cat | wc -l
+
 echo "== go test"
 go test -timeout 10m ./...
 

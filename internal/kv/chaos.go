@@ -78,8 +78,8 @@ type ChaosCounters struct {
 // It is safe for concurrent use; the fault lottery is serialized so the
 // schedule stays deterministic for a deterministic operation order.
 type ChaosStore struct {
-	inner Store
-	plan  ChaosPlan
+	Base
+	plan ChaosPlan
 
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -95,7 +95,9 @@ func NewChaosStore(inner Store, plan ChaosPlan) *ChaosStore {
 	if err := plan.Validate(); err != nil {
 		panic(err)
 	}
-	return &ChaosStore{inner: inner, plan: plan, rng: rand.New(rand.NewSource(plan.Seed))}
+	s := &ChaosStore{plan: plan, rng: rand.New(rand.NewSource(plan.Seed))}
+	s.Base = NewBase(s, inner)
+	return s
 }
 
 // Counters returns a snapshot of the injection counters.
@@ -116,12 +118,6 @@ func (s *ChaosStore) Metrics() map[string]int64 {
 		"chaos.stalls":          int64(c.Stalls),
 	}, MetricsOf(s.inner))
 }
-
-// Inner returns the wrapped store.
-func (s *ChaosStore) Inner() Store { return s.inner }
-
-// Caps delegates to the wrapped store.
-func (s *ChaosStore) Caps() Capabilities { return CapsOf(s.inner) }
 
 // admit runs the fault lottery for one operation. It returns a non-nil
 // error when the operation must fail without executing; otherwise it
@@ -159,46 +155,16 @@ func (s *ChaosStore) admit(tc *tracing.Ctx) error {
 	return nil
 }
 
-// DoTraced implements Traceable and is the body of every operation: the
-// admission lottery charges the op (a scan counts as one), then it
-// descends to the inner store. Injected errors fail before the inner
-// call.
+// DoTraced implements Traceable and is the body of every operation,
+// the plain ones Base serves included: the admission lottery charges the
+// op (a scan counts as one), then it descends to the inner store.
+// Injected errors fail before the inner call. Close reaches the wrapped
+// store through Base and is never injected.
 func (s *ChaosStore) DoTraced(tc *tracing.Ctx, op TracedOp) (TracedResult, error) {
 	if err := s.admit(tc); err != nil {
 		return TracedResult{}, err
 	}
 	return DoTraced(s.inner, tc, op)
-}
-
-// Get implements Store.
-func (s *ChaosStore) Get(key []byte) ([]byte, error) {
-	res, err := s.DoTraced(nil, TracedOp{Op: OpGet, Key: key})
-	return res.Val, err
-}
-
-// Put implements Store.
-func (s *ChaosStore) Put(key, value []byte) error {
-	_, err := s.DoTraced(nil, TracedOp{Op: OpPut, Key: key, Val: value})
-	return err
-}
-
-// Merge implements Store.
-func (s *ChaosStore) Merge(key, operand []byte) error {
-	_, err := s.DoTraced(nil, TracedOp{Op: OpMerge, Key: key, Val: operand})
-	return err
-}
-
-// Delete implements Store.
-func (s *ChaosStore) Delete(key []byte) error {
-	_, err := s.DoTraced(nil, TracedOp{Op: OpDelete, Key: key})
-	return err
-}
-
-// ScanRange implements RangeScanner when the wrapped store supports
-// scans.
-func (s *ChaosStore) ScanRange(lo, hi StateKey) ([]Entry, error) {
-	res, err := s.DoTraced(nil, TracedOp{Op: OpScan, Lo: lo, Hi: hi})
-	return res.Entries, err
 }
 
 // Snapshot implements Snapshotter when the wrapped store does. Acquiring
@@ -265,6 +231,3 @@ func (it *chaosIterator) Err() error {
 	return it.inner.Err()
 }
 func (it *chaosIterator) Close() error { return it.inner.Close() }
-
-// Close closes the wrapped store (never injected).
-func (s *ChaosStore) Close() error { return s.inner.Close() }

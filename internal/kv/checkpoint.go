@@ -12,11 +12,8 @@
 // when the snapshot was taken; recovery rewinds the trace cursor to it
 // and replays the delta. The format is written from a kv.Snapshot and
 // restored with plain Puts, so any engine can save it and any engine can
-// load it — checkpoints taken on rocksdb restore into faster, etc. The
-// LSM engines additionally have a native fast path (lsm.(*DB).CheckpointTo)
-// that hard-links immutable SSTs instead of streaming, but the portable
-// format is what the recovery runner uses: it is the only one every
-// engine can both produce and consume.
+// load it — checkpoints taken on rocksdb restore into faster, etc. It is
+// the one checkpoint path: the recovery runner and every engine use it.
 package kv
 
 import (

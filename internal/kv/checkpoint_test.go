@@ -231,8 +231,8 @@ func TestReadCheckpointRejectsTrailingGarbage(t *testing.T) {
 }
 
 func TestCheckpointSurvivesFaultFSCopyPath(t *testing.T) {
-	// FaultFS is not a Linker, so a Save through it exercises the charged
-	// write path; a clean plan must still produce a valid checkpoint.
+	// A Save through FaultFS exercises the charged write path; a clean
+	// plan must still produce a valid checkpoint.
 	src := memstore.New()
 	defer src.Close()
 	fillStore(t, src, 20)

@@ -129,25 +129,15 @@ type ResilienceCounters struct {
 	Degraded uint64
 }
 
-// Sub returns c - prev, for computing per-run deltas.
-func (c ResilienceCounters) Sub(prev ResilienceCounters) ResilienceCounters {
-	return ResilienceCounters{
-		Retries:      c.Retries - prev.Retries,
-		Timeouts:     c.Timeouts - prev.Timeouts,
-		BreakerTrips: c.BreakerTrips - prev.BreakerTrips,
-		FastFails:    c.FastFails - prev.FastFails,
-		Degraded:     c.Degraded - prev.Degraded,
-	}
-}
-
 func (c ResilienceCounters) String() string {
 	return fmt.Sprintf("retries=%d timeouts=%d trips=%d fastfails=%d degraded=%d",
 		c.Retries, c.Timeouts, c.BreakerTrips, c.FastFails, c.Degraded)
 }
 
 // ResilienceReporter is implemented by stores that track resilience
-// counters; the performance evaluator snapshots them around each run to
-// report per-run deltas in its Result.
+// counters. The performance evaluator does not probe for it: a run's
+// Result reads the same counts from the "resilient.*" metrics every
+// wrapper merges, so they survive any stack.
 type ResilienceReporter interface {
 	ResilienceCounters() ResilienceCounters
 }

@@ -184,8 +184,9 @@ type Capabilities struct {
 // Capabler is implemented by stores to advertise their Capabilities.
 //
 // Contract: every engine and every store wrapper MUST implement Capabler.
-// Wrappers delegate with CapsOf(inner) so capabilities survive
-// middleware composition. A store without a Caps method advertises the
+// Wrappers embed Base, whose Caps delegates with CapsOf(inner), so
+// capabilities survive middleware composition; the network clients,
+// which wrap a connection, define their own. A store without a Caps method advertises the
 // zero Capabilities value — no native merge, no in-place updates, no
 // snapshots, no range scans — so a missing implementation degrades to
 // the most conservative translation instead of silently claiming

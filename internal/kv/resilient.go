@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -105,8 +106,8 @@ const (
 // retried, and Merge is never retried past an outcome-unknown failure.
 // It is safe for concurrent use.
 type ResilientStore struct {
-	inner Store
-	opts  ResilienceOptions
+	Base
+	opts ResilienceOptions
 
 	retries      atomic.Uint64
 	timeouts     atomic.Uint64
@@ -138,11 +139,9 @@ func NewResilientStore(inner Store, opts ResilienceOptions) (*ResilientStore, er
 		return nil, err
 	}
 	o := opts.withDefaults()
-	return &ResilientStore{
-		inner: inner,
-		opts:  o,
-		rng:   rand.New(rand.NewSource(o.JitterSeed)),
-	}, nil
+	r := &ResilientStore{opts: o, rng: rand.New(rand.NewSource(o.JitterSeed))}
+	r.Base = NewBase(r, inner)
+	return r, nil
 }
 
 // fastOK reports whether an op may skip the resilience pipeline: no
@@ -179,12 +178,6 @@ func (r *ResilientStore) Metrics() map[string]int64 {
 		"resilient.breaker_state": int64(r.state.Load()),
 	}, MetricsOf(r.inner))
 }
-
-// Inner returns the wrapped store.
-func (r *ResilientStore) Inner() Store { return r.inner }
-
-// Caps delegates to the wrapped store.
-func (r *ResilientStore) Caps() Capabilities { return CapsOf(r.inner) }
 
 // allow consults the breaker before an attempt. It returns ErrBreakerOpen
 // (transient: the store may recover) when the attempt must fail fast, and
@@ -333,14 +326,16 @@ func (r *ResilientStore) retry(tc *tracing.Ctx, op Op, from int, err error, f fu
 	return TracedResult{}, err
 }
 
-// DoTraced implements Traceable and is the body of every operation.
-// While fastOK holds, the first attempt is a bare call into the inner
-// store and a contract outcome returns at once; a failure, or a store
-// that is not in the fast state, goes through retry. A merge is retried
-// only while RetrySafe holds: after an outcome-unknown failure
-// (deadline, lost connection) the error surfaces instead, because
-// replaying the operand could duplicate it. Scans are reads, so their
-// transient failures retry under the OpScan budget.
+// DoTraced implements Traceable and is the body of every operation,
+// the plain ones Base serves included. While fastOK holds, the first
+// attempt is a bare call into the inner store and a contract outcome
+// returns at once; a failure, or a store that is not in the fast state,
+// goes through retry. A merge is retried only while RetrySafe holds:
+// after an outcome-unknown failure (deadline, lost connection) the error
+// surfaces instead, because replaying the operand could duplicate it.
+// Scans are reads, so their transient failures retry under the OpScan
+// budget. Close reaches the wrapped store through Base directly (no
+// retries, no deadline).
 func (r *ResilientStore) DoTraced(tc *tracing.Ctx, op TracedOp) (res TracedResult, err error) {
 	from := 0
 	if r.fastOK() {
@@ -349,39 +344,15 @@ func (r *ResilientStore) DoTraced(tc *tracing.Ctx, op TracedOp) (res TracedResul
 		}
 		from = 1
 	}
+	if r.opts.OpTimeout > 0 {
+		// An attempt abandoned at its deadline runs on after this call
+		// returns, when the caller may reuse its key and value buffers:
+		// the attempts get copies of their own.
+		op.Key, op.Val = bytes.Clone(op.Key), bytes.Clone(op.Val)
+	}
 	return r.retry(tc, op.Op, from, err, func(tc *tracing.Ctx) (TracedResult, error) {
 		return DoTraced(r.inner, tc, op)
 	})
-}
-
-// Get implements Store.
-func (r *ResilientStore) Get(key []byte) ([]byte, error) {
-	res, err := r.DoTraced(nil, TracedOp{Op: OpGet, Key: key})
-	return res.Val, err
-}
-
-// Put implements Store.
-func (r *ResilientStore) Put(key, value []byte) error {
-	_, err := r.DoTraced(nil, TracedOp{Op: OpPut, Key: key, Val: value})
-	return err
-}
-
-// Merge implements Store.
-func (r *ResilientStore) Merge(key, operand []byte) error {
-	_, err := r.DoTraced(nil, TracedOp{Op: OpMerge, Key: key, Val: operand})
-	return err
-}
-
-// Delete implements Store.
-func (r *ResilientStore) Delete(key []byte) error {
-	_, err := r.DoTraced(nil, TracedOp{Op: OpDelete, Key: key})
-	return err
-}
-
-// ScanRange implements RangeScanner.
-func (r *ResilientStore) ScanRange(lo, hi StateKey) ([]Entry, error) {
-	res, err := r.DoTraced(nil, TracedOp{Op: OpScan, Lo: lo, Hi: hi})
-	return res.Entries, err
 }
 
 // Snapshot implements Snapshotter, bounding acquisition with the per-op
@@ -423,6 +394,3 @@ func (r *ResilientStore) Snapshot() (snap Snapshot, retErr error) {
 	}
 	return won, nil
 }
-
-// Close closes the wrapped store directly (no retries, no deadline).
-func (r *ResilientStore) Close() error { return r.inner.Close() }

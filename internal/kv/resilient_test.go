@@ -331,10 +331,14 @@ func TestDeadlineExceeded(t *testing.T) {
 		opts.OpTimeout = 2 * time.Millisecond
 		opts.MaxRetries = -1
 		r := newResilient(t, st, opts)
-		err := p.Put(r, "k", []byte("v"))
+		val := []byte("v")
+		err := p.Put(r, "k", val)
 		if !errors.Is(err, ErrDeadlineExceeded) {
 			t.Fatalf("Put = %v, want deadline", err)
 		}
+		// The caller owns its buffers again once Put returns; the
+		// abandoned attempt must not read the reuse.
+		val[0] = 'x'
 		if !Transient(err) || !OutcomeUnknown(err) {
 			t.Fatalf("deadline error misclassified: transient=%v unknown=%v", Transient(err), OutcomeUnknown(err))
 		}
@@ -345,12 +349,16 @@ func TestDeadlineExceeded(t *testing.T) {
 		if p.sampled && p.engineNs < int64(opts.OpTimeout) {
 			t.Fatalf("StageEngine = %dns, want at least the %v the attempt was waited for", p.engineNs, opts.OpTimeout)
 		}
-		// Let the abandoned attempt run to its end: it applies the Put.
+		// Let the abandoned attempt run to its end: it applies the Put
+		// as it was issued.
 		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
 			st.mu.Lock()
-			_, applied := st.m["k"]
+			got, applied := st.m["k"]
 			st.mu.Unlock()
 			if applied {
+				if string(got) != "v" {
+					t.Fatalf("abandoned attempt applied %q, want the issued %q", got, "v")
+				}
 				break
 			}
 			if time.Now().After(deadline) {

@@ -198,9 +198,6 @@ func (b *FallbackBuilder) Add(key, value []byte) {
 	b.entries = append(b.entries, Entry{Key: sk, Value: append([]byte(nil), value...)})
 }
 
-// AddEntry appends one already-decoded record without copying.
-func (b *FallbackBuilder) AddEntry(e Entry) { b.entries = append(b.entries, e) }
-
 // Snapshot sorts the accumulated entries and seals them into a
 // FallbackSnapshot. The builder must not be reused afterwards.
 func (b *FallbackBuilder) Snapshot() *FallbackSnapshot {

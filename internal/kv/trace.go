@@ -31,8 +31,8 @@ type TracedResult struct {
 // its internal phases to a tracing.Ctx: engines, middleware, remote
 // clients. tc may be nil — every Ctx method is a no-op on nil (Now reads
 // no clock, Add adds nothing) — so one DoTraced body serves sampled and
-// unsampled operations alike, and a wrapper's Get/Put/Merge/Delete/
-// ScanRange are sugar over DoTraced(nil, op). Whatever tc is, DoTraced
+// unsampled operations alike, and the Get/Put/Merge/Delete/ScanRange a
+// wrapper gets from Base are sugar over DoTraced(nil, op). Whatever tc is, DoTraced
 // behaves exactly like the corresponding Store call; with a Ctx it also
 // stamps the stages the layer adds. Implementations that wrap an inner
 // store descend with DoTraced(inner, tc, op) so attribution composes

@@ -258,6 +258,36 @@ func (b *tableBuilder) finish(db *DB, level int) (*fileMeta, error) {
 	return fm, nil
 }
 
+// seal finishes the table on disk — properties, writer close, sync,
+// rename — without reopening it for reads; finish does this half plus
+// the open.
+func (b *tableBuilder) seal(level int) error {
+	b.w.SetProperty(propLevel, uint64(level))
+	b.w.SetProperty(propMaxSeq, b.maxSeq)
+	b.w.SetProperty(propDeletes, b.deletes)
+	b.w.SetProperty(propEntries, b.w.Count())
+	if !b.tombAt.IsZero() {
+		b.w.SetProperty(propTombstoneNanos, uint64(b.tombAt.UnixNano()))
+	}
+	if err := b.w.Close(); err != nil {
+		b.abandon()
+		return err
+	}
+	if err := b.f.Sync(); err != nil {
+		b.abandon()
+		return err
+	}
+	if err := b.f.Close(); err != nil {
+		b.fs.Remove(b.path + ".tmp")
+		return err
+	}
+	if err := b.fs.Rename(b.path+".tmp", b.path); err != nil {
+		b.fs.Remove(b.path + ".tmp")
+		return err
+	}
+	return nil
+}
+
 // releaseUncommitted closes the new tables of a step whose MANIFEST
 // write failed, but leaves their files: the write may have failed after
 // its rename, so the MANIFEST on disk may list them. The next Open keeps

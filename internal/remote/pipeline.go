@@ -119,6 +119,8 @@ type pcall struct {
 // them before any newer request; the server answers duplicates from its
 // per-session response window, keeping the stream exactly-once.
 type PipelinedClient struct {
+	kv.Base // the plain Store calls; Caps and Close are the client's own
+
 	addr      string
 	opts      PipelineOptions
 	sessionID uint64
@@ -178,6 +180,7 @@ func DialPipeline(addr string, opts PipelineOptions) (*PipelinedClient, error) {
 		slots:     make(chan struct{}, opts.Depth),
 		readTurn:  make(chan struct{}, 1),
 	}
+	c.Base = kv.NewBase(c, nil)
 	var conn net.Conn
 	for attempt := 0; attempt <= opts.Redials; attempt++ {
 		if attempt > 0 {
@@ -562,11 +565,14 @@ func (c *PipelinedClient) Metrics() map[string]int64 {
 	}
 }
 
-// DoTraced implements kv.Traceable and is the body of every operation:
-// the op rides the pipeline in its wire form and the response's status
-// maps back to the Store contract. A non-nil tc collects the queue, wire
-// and server stages (server stamps require the connection to have
-// negotiated Traced).
+// DoTraced implements kv.Traceable and is the body of every operation,
+// the plain ones kv.Base serves included: the op rides the pipeline in
+// its wire form and the response's status maps back to the Store
+// contract. A scan is a single server-side request: the server walks
+// [lo, hi] against its engine's snapshot and returns the serialized
+// entry list, so consistency is the server engine's. A non-nil tc
+// collects the queue, wire and server stages (server stamps require the
+// connection to have negotiated Traced).
 func (c *PipelinedClient) DoTraced(tc *tracing.Ctx, op kv.TracedOp) (kv.TracedResult, error) {
 	code, key, val, err := encodeOp(op)
 	if err != nil {
@@ -591,43 +597,9 @@ func (c *PipelinedClient) DoTraced(tc *tracing.Ctx, op kv.TracedOp) (kv.TracedRe
 	return kv.TracedResult{}, nil
 }
 
-// Get implements kv.Store.
-func (c *PipelinedClient) Get(key []byte) ([]byte, error) {
-	res, err := c.DoTraced(nil, kv.TracedOp{Op: kv.OpGet, Key: key})
-	return res.Val, err
-}
-
-// Put implements kv.Store.
-func (c *PipelinedClient) Put(key, value []byte) error {
-	_, err := c.DoTraced(nil, kv.TracedOp{Op: kv.OpPut, Key: key, Val: value})
-	return err
-}
-
-// Merge implements kv.Store.
-func (c *PipelinedClient) Merge(key, operand []byte) error {
-	_, err := c.DoTraced(nil, kv.TracedOp{Op: kv.OpMerge, Key: key, Val: operand})
-	return err
-}
-
-// Delete implements kv.Store.
-func (c *PipelinedClient) Delete(key []byte) error {
-	_, err := c.DoTraced(nil, kv.TracedOp{Op: kv.OpDelete, Key: key})
-	return err
-}
-
-// ScanRange implements kv.RangeScanner with a single server-side scan
-// request: the server walks [lo, hi] against its engine's snapshot and
-// returns the serialized entry list, so consistency is the server
-// engine's.
-func (c *PipelinedClient) ScanRange(lo, hi kv.StateKey) ([]kv.Entry, error) {
-	res, err := c.DoTraced(nil, kv.TracedOp{Op: kv.OpScan, Lo: lo, Hi: hi})
-	return res.Entries, err
-}
-
 // Snapshot implements kv.Snapshotter via the stop-the-world fallback: a
-// full-range ScanRange materialized into a kv.FallbackSnapshot, which
-// costs one full keyspace transfer; Caps().Snapshots is false
-// accordingly.
+// full-range scan materialized into a kv.FallbackSnapshot, which costs
+// one full keyspace transfer; Caps().Snapshots is false accordingly.
 func (c *PipelinedClient) Snapshot() (kv.Snapshot, error) {
 	entries, err := c.ScanRange(kv.StateKey{}, kv.MaxStateKey)
 	if err != nil {

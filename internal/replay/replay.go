@@ -12,7 +12,7 @@
 //
 // The evaluator is failure-aware: store errors are classified transient
 // vs fatal (kv.Transient), resilience counters of a wrapped store
-// (kv.ResilienceReporter) are reported as per-run deltas, and a run
+// (its "resilient.*" metrics) are reported as per-run deltas, and a run
 // watchdog (Options.StallTimeout) aborts stalled runs with partial
 // results tagged Degraded instead of hanging.
 package replay
@@ -114,10 +114,10 @@ type Result struct {
 	// of them aborts the run.
 	FatalErrors uint64
 	// Retries, Timeouts, BreakerTrips, DegradedOps are the per-run deltas
-	// of the store's resilience counters when the store implements
-	// kv.ResilienceReporter (zero otherwise). When several concurrent
-	// runs share one store, each delta covers the whole store, not one
-	// runner.
+	// of the resilience counters, read from Engine's "resilient.*" keys
+	// (zero when no kv.ResilientStore surfaces there). When several
+	// concurrent runs share one store, each delta covers the whole store,
+	// not one runner.
 	Retries      uint64
 	Timeouts     uint64
 	BreakerTrips uint64
@@ -407,8 +407,6 @@ type Collector struct {
 	checkpointNs    atomic.Int64
 	checkpointBytes atomic.Uint64
 
-	base    kv.ResilienceCounters
-	rep     kv.ResilienceReporter
 	degrade atomic.Bool
 
 	// introBase is the store's introspection snapshot at run start (nil
@@ -446,10 +444,6 @@ func newCollector(store kv.Store, opts Options, clock Clock) *Collector {
 	c.res.Latency = stats.NewHistogram()
 	for i := range c.res.PerOp {
 		c.res.PerOp[i] = stats.NewHistogram()
-	}
-	if rep, ok := store.(kv.ResilienceReporter); ok {
-		c.rep = rep
-		c.base = rep.ResilienceCounters()
 	}
 	c.introBase = kv.MetricsOf(store)
 	if clock != nil {
@@ -607,14 +601,11 @@ func (c *Collector) fill(res *Result) {
 	res.FatalErrors = c.fatalErr.Load()
 	res.Errors = res.TransientErrors + res.FatalErrors
 	res.Degraded = c.degrade.Load()
-	if c.rep != nil {
-		d := c.rep.ResilienceCounters().Sub(c.base)
-		res.Retries = d.Retries
-		res.Timeouts = d.Timeouts
-		res.BreakerTrips = d.BreakerTrips
-		res.DegradedOps = d.Degraded
-	}
 	res.Engine = kv.MetricsDelta(kv.MetricsOf(c.store), c.introBase)
+	res.Retries = uint64(res.Engine["resilient.retries"])
+	res.Timeouts = uint64(res.Engine["resilient.timeouts"])
+	res.BreakerTrips = uint64(res.Engine["resilient.breaker_trips"])
+	res.DegradedOps = uint64(res.Engine["resilient.degraded_ops"])
 	res.Recoveries = c.recoveries.Load()
 	res.RecoveryTime = time.Duration(c.recoveryNs.Load())
 	res.ReplayedOps = c.replayedOps.Load()

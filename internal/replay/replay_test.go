@@ -279,6 +279,46 @@ func TestConsecutiveTransientErrorsAbort(t *testing.T) {
 	}
 }
 
+// The resilience counts in a Result are the "resilient.*" movement of
+// its Engine delta, however deep the ResilientStore sits: a wrapper over
+// it (here a fault-free ChaosStore) must not hide them.
+func TestResilienceCountersThroughAnyStack(t *testing.T) {
+	faulty := kv.NewChaosStore(memstore.New(), kv.ChaosPlan{
+		Seed: 5, ErrorRate: 0.2, LatencyRate: 0.02, Latency: 2 * time.Millisecond,
+	})
+	rs, err := kv.NewResilientStore(faulty, kv.ResilienceOptions{
+		OpTimeout: time.Millisecond, MaxRetries: 2,
+		BackoffBase: 5 * time.Microsecond, BackoffMax: 20 * time.Microsecond,
+		BreakerThreshold: 3, BreakerCooldown: 50 * time.Microsecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := kv.NewChaosStore(rs, kv.ChaosPlan{Seed: 6})
+	defer store.Close()
+	trace := make([]kv.Access, 1000)
+	for i := range trace {
+		trace[i] = kv.Access{Op: kv.OpPut, Key: kv.StateKey{Group: uint64(i % 50)}, Size: 8}
+	}
+	res, err := Run(store, trace, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		key string
+		got uint64
+	}{
+		{"resilient.retries", res.Retries},
+		{"resilient.timeouts", res.Timeouts},
+		{"resilient.breaker_trips", res.BreakerTrips},
+		{"resilient.degraded_ops", res.DegradedOps},
+	} {
+		if want := res.Engine[c.key]; want <= 0 || c.got != uint64(want) {
+			t.Errorf("Result reports %d, Engine[%q] = %d: want equal and positive", c.got, c.key, want)
+		}
+	}
+}
+
 func TestResultReportsResilienceCounters(t *testing.T) {
 	chaos := kv.NewChaosStore(memstore.New(), kv.ChaosPlan{Seed: 11, ErrorRate: 0.1})
 	rs, err := kv.NewResilientStore(chaos, kv.ResilienceOptions{

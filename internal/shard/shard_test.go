@@ -143,8 +143,9 @@ func TestShardScanMerge(t *testing.T) {
 	}
 }
 
-// The composite snapshot must expose a merged, ordered iterator and
-// hash-routed Gets, and stay blind to writes issued after it was taken.
+// The shard snapshot must expose a merged, ordered iterator and point
+// Gets over every shard, and stay blind to writes issued after it was
+// taken.
 func TestShardSnapshotMergedIter(t *testing.T) {
 	_, cli, _ := startCluster(t, 3, remote.PipelineOptions{})
 	for s := uint64(0); s < 50; s++ {

@@ -60,15 +60,3 @@ func FuzzReadTrace(f *testing.F) {
 		t.Fatal("decoder did not terminate on bounded input")
 	})
 }
-
-// FuzzReadText does the same for the text interchange codec.
-func FuzzReadText(f *testing.F) {
-	f.Add("put 1 0 8 100\nget 1 0 0 150\n")
-	f.Add("# comment\n\nmerge 7 3 64 151\n")
-	f.Add("bogus line\n")
-	f.Add("put 1 0 8\n") // wrong field count
-	f.Add("put x y z w\n")
-	f.Fuzz(func(t *testing.T, data string) {
-		ReadText(bytes.NewReader([]byte(data)))
-	})
-}

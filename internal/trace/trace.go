@@ -1,8 +1,7 @@
 // Package trace persists state access streams for Gadget's offline mode:
 // generate once, replay on demand. The binary format is varint-delta
 // encoded (timestamps and keys in streaming traces are strongly locally
-// correlated, so traces compress to a few bytes per access); a text codec
-// (one access per line) supports interop with external tooling.
+// correlated, so traces compress to a few bytes per access).
 package trace
 
 import (
@@ -11,8 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 
 	"gadget/internal/kv"
 	"gadget/internal/vfs"
@@ -210,64 +207,4 @@ func ReadFileFS(fsys vfs.FS, path string) ([]kv.Access, error) {
 		}
 		out = append(out, a)
 	}
-}
-
-// WriteText writes a trace as "op group sub size time" lines — the
-// interchange format for replaying externally generated workloads.
-func WriteText(w io.Writer, accesses []kv.Access) error {
-	bw := bufio.NewWriterSize(w, 64<<10)
-	for _, a := range accesses {
-		if _, err := fmt.Fprintf(bw, "%s %d %d %d %d\n", a.Op, a.Key.Group, a.Key.Sub, a.Size, a.Time); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadText parses the text format produced by WriteText.
-func ReadText(r io.Reader) ([]kv.Access, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var out []kv.Access
-	lineNo := 0
-	ops := make(map[string]kv.Op, kv.NumOps)
-	for op := kv.Op(0); int(op) < kv.NumOps; op++ {
-		ops[op.String()] = op // inverse of the %s WriteText emits
-	}
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 5 {
-			return nil, fmt.Errorf("trace: line %d: want 5 fields, got %d", lineNo, len(fields))
-		}
-		op, ok := ops[fields[0]]
-		if !ok {
-			return nil, fmt.Errorf("trace: line %d: unknown op %q", lineNo, fields[0])
-		}
-		group, err := strconv.ParseUint(fields[1], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: %v", lineNo, err)
-		}
-		sub, err := strconv.ParseUint(fields[2], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: %v", lineNo, err)
-		}
-		size, err := strconv.ParseUint(fields[3], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: %v", lineNo, err)
-		}
-		tm, err := strconv.ParseInt(fields[4], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: %v", lineNo, err)
-		}
-		out = append(out, kv.Access{Op: op, Key: kv.StateKey{Group: group, Sub: sub}, Size: uint32(size), Time: tm})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

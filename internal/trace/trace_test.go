@@ -137,46 +137,6 @@ func TestInvalidOpRejected(t *testing.T) {
 	}
 }
 
-func TestTextRoundTrip(t *testing.T) {
-	want := randomTrace(500, 3)
-	var buf bytes.Buffer
-	if err := WriteText(&buf, want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadText(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("len = %d", len(got))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("record %d: %+v vs %+v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestTextCommentsAndErrors(t *testing.T) {
-	in := "# comment\n\nget 1 2 0 5\n"
-	got, err := ReadText(bytes.NewReader([]byte(in)))
-	if err != nil || len(got) != 1 {
-		t.Fatalf("got %d, %v", len(got), err)
-	}
-	for _, bad := range []string{
-		"get 1 2 0\n",          // missing field
-		"frobnicate 1 2 0 5\n", // unknown op
-		"get x 2 0 5\n",        // bad group
-		"get 1 x 0 5\n",        // bad sub
-		"get 1 2 x 5\n",        // bad size
-		"get 1 2 0 x\n",        // bad time
-	} {
-		if _, err := ReadText(bytes.NewReader([]byte(bad))); err == nil {
-			t.Fatalf("input %q should fail", bad)
-		}
-	}
-}
-
 func TestQuickRoundTrip(t *testing.T) {
 	f := func(ops []uint8, groups []uint64, times []int64) bool {
 		n := len(ops)

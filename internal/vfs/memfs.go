@@ -148,25 +148,6 @@ func (m *MemFS) Stat(name string) (os.FileInfo, error) {
 // they are created, mirroring the write model documented on the package.
 func (m *MemFS) SyncDir(name string) error { return nil }
 
-// Link implements Linker by sharing the node between both names — true
-// hard-link semantics: the bytes are one inode, removing either name
-// leaves the other intact.
-func (m *MemFS) Link(oldname, newname string) error {
-	oldname, newname = clean(oldname), clean(newname)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n, ok := m.files[oldname]
-	if !ok {
-		return &os.LinkError{Op: "link", Old: oldname, New: newname, Err: os.ErrNotExist}
-	}
-	if _, exists := m.files[newname]; exists {
-		return &os.LinkError{Op: "link", Old: oldname, New: newname, Err: os.ErrExist}
-	}
-	m.files[newname] = n
-	m.dirs[path.Dir(newname)] = true
-	return nil
-}
-
 // Paths returns the sorted paths of all files currently in the
 // filesystem (a test convenience).
 func (m *MemFS) Paths() []string {

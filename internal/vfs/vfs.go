@@ -59,44 +59,6 @@ type FS interface {
 	SyncDir(name string) error
 }
 
-// Linker is an optional FS extension for hard links. LinkOrCopy prefers
-// it; filesystems without native links fall back to a byte copy.
-type Linker interface {
-	// Link creates newname as a hard link to oldname.
-	Link(oldname, newname string) error
-}
-
-// LinkOrCopy makes newname hold the same bytes as oldname: a hard link
-// when fsys supports one (the cheap native-checkpoint path), otherwise a
-// full copy. The copy is synced before returning.
-func LinkOrCopy(fsys FS, oldname, newname string) error {
-	if l, ok := fsys.(Linker); ok {
-		if err := l.Link(oldname, newname); err == nil {
-			return nil
-		}
-	}
-	src, err := Open(fsys, oldname)
-	if err != nil {
-		return err
-	}
-	defer src.Close()
-	dst, err := fsys.OpenFile(newname, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := io.Copy(dst, src); err != nil {
-		dst.Close()
-		fsys.Remove(newname)
-		return err
-	}
-	if err := dst.Sync(); err != nil {
-		dst.Close()
-		fsys.Remove(newname)
-		return err
-	}
-	return dst.Close()
-}
-
 // Open opens the named file for reading, like os.Open.
 func Open(fsys FS, name string) (File, error) {
 	return fsys.OpenFile(name, os.O_RDONLY, 0)
@@ -225,6 +187,3 @@ func (OsFS) SyncDir(name string) error {
 	}
 	return err
 }
-
-// Link implements Linker with a real hard link.
-func (OsFS) Link(oldname, newname string) error { return os.Link(oldname, newname) }
