@@ -1,23 +1,17 @@
 // Command gadget is the benchmark harness CLI. It generates streaming
 // state access workloads from a JSON configuration and either issues
-// them to a KV store online (collecting latency and throughput) or
-// writes them to a trace file for later replay.
-//
-// Usage:
-//
-//	gadget run      -config cfg.json           online run (source -> operator -> store)
-//	gadget generate -config cfg.json           offline: write the trace in run.trace_path
-//	gadget replay   -trace t.bin -engine NAME  replay a trace against a store
-//	gadget analyze  -trace t.bin               characterize a trace (paper §3 metrics)
-//	gadget list                                list operators, engines, and datasets
+// them to a KV store (collecting latency and throughput) or writes them
+// to a trace file for later replay. Every run command parses its flags
+// into a gadget.Config and runs it through one path, execute, so the
+// config a run report echoes re-runs it. Run it without arguments for
+// the command list.
 package main
 
 import (
-	"errors"
+	"cmp"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"time"
 
 	"gadget"
@@ -25,39 +19,29 @@ import (
 	"gadget/internal/stats"
 )
 
+var commands = map[string]func(args []string) error{
+	"run": cmdRun, "generate": cmdGenerate, "replay": cmdReplay, "findrate": cmdFindRate,
+	"campaign": cmdCampaign, "analyze": cmdAnalyze, "trace": cmdTrace, "list": cmdList,
+}
+
 func main() {
 	if len(os.Args) < 2 {
 		usage()
 		os.Exit(2)
 	}
-	var err error
-	switch os.Args[1] {
-	case "run":
-		err = cmdRun(os.Args[2:])
-	case "generate":
-		err = cmdGenerate(os.Args[2:])
-	case "replay":
-		err = cmdReplay(os.Args[2:])
-	case "findrate":
-		err = cmdFindRate(os.Args[2:])
-	case "campaign":
-		err = cmdCampaign(os.Args[2:])
-	case "analyze":
-		err = cmdAnalyze(os.Args[2:])
-	case "trace":
-		err = cmdTrace(os.Args[2:])
-	case "list":
-		err = cmdList()
-	case "-h", "--help", "help":
+	cmd, ok := commands[os.Args[1]]
+	switch {
+	case ok:
+		if err := cmd(os.Args[2:]); err != nil {
+			fmt.Fprintf(os.Stderr, "gadget: %v\n", err)
+			os.Exit(1)
+		}
+	case os.Args[1] == "-h" || os.Args[1] == "--help" || os.Args[1] == "help":
 		usage()
 	default:
 		fmt.Fprintf(os.Stderr, "gadget: unknown command %q\n", os.Args[1])
 		usage()
 		os.Exit(2)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "gadget: %v\n", err)
-		os.Exit(1)
 	}
 }
 
@@ -65,7 +49,8 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage: gadget <command> [flags]
 
 commands:
-  run       -config cfg.json             run the configured store (run.mode: online or open_loop)
+  run       -config cfg.json             run the configuration (run.mode online, open_loop, or offline;
+                                         run.trace_path replays that trace instead of generating)
   generate  -config cfg.json             write the state access trace (offline mode)
   replay    -trace t.bin -engine NAME -dir DIR [-addr HOST:PORT] [-rate N] [-concurrency N]
             [-open-loop] [-poisson] [-max-in-flight N]   open-loop: -rate is the offered rate
@@ -91,82 +76,60 @@ func loadConfig(path string) (gadget.Config, error) {
 	return gadget.LoadConfig(path)
 }
 
+// obsFlags registers -metrics-addr and -report. The returned function
+// writes the ones given into cfg's obs section, which they override.
+func obsFlags(fs *flag.FlagSet) func(cfg *gadget.Config) {
+	addr := fs.String("metrics-addr", "", "serve /metrics, /debug/vars, /debug/pprof on this address (overrides obs.metrics_addr)")
+	report := fs.String("report", "", "write a JSON run report to this path (overrides obs.report_path)")
+	return func(cfg *gadget.Config) {
+		if *addr == "" && *report == "" {
+			return
+		}
+		o := obsOf(*cfg)
+		o.MetricsAddr, o.ReportPath = cmp.Or(*addr, o.MetricsAddr), cmp.Or(*report, o.ReportPath)
+		cfg.Obs = &o
+	}
+}
+
+// traceFlags registers the flags replay and findrate share: the trace,
+// the store it is replayed against, and the open-loop bounds. The
+// returned function maps them onto a Config once fs is parsed.
+func traceFlags(fs *flag.FlagSet) func() (gadget.Config, error) {
+	tracePath := fs.String("trace", "", "trace file")
+	engine := fs.String("engine", "memstore", "store engine")
+	addr := fs.String("addr", "", "server address for -engine remote")
+	dir := fs.String("dir", "", "store directory (temp dir when empty)")
+	maxInFlight := fs.Int("max-in-flight", 0, "open-loop bound on queued-but-unserviced events (0 = default)")
+	stall := fs.Duration("stall-timeout", 0, "abort a run if no progress for this long (0 = off)")
+	return func() (gadget.Config, error) {
+		if *tracePath == "" {
+			return gadget.Config{}, fmt.Errorf("-trace is required")
+		}
+		if *stall > 0 && *stall < time.Millisecond {
+			return gadget.Config{}, fmt.Errorf("-stall-timeout %v is below the 1ms resolution of run.stall_timeout_ms", *stall)
+		}
+		return gadget.Config{
+			Store: gadget.StoreConfig{Engine: *engine, Dir: *dir, Addr: *addr},
+			Run: gadget.RunConfig{
+				TracePath:      *tracePath,
+				MaxInFlight:    *maxInFlight,
+				StallTimeoutMs: stall.Milliseconds(),
+			},
+		}, nil
+	}
+}
+
 func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	cfgPath := fs.String("config", "", "JSON configuration file")
-	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /debug/vars, /debug/pprof on this address (overrides obs.metrics_addr)")
-	reportPath := fs.String("report", "", "write a JSON run report to this path (overrides obs.report_path)")
+	applyObs := obsFlags(fs)
 	fs.Parse(args)
 	cfg, err := loadConfig(*cfgPath)
 	if err != nil {
 		return err
 	}
-	w, err := gadget.NewWorkload(cfg)
-	if err != nil {
-		return err
-	}
-	if cfg.Store.Dir == "" && cfg.Store.Engine != "memstore" {
-		dir, err := os.MkdirTemp("", "gadget-run-*")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(dir)
-		cfg.Store.Dir = dir
-	}
-	if cfg.Recovery() {
-		return runRecovery(cfg, w, *metricsAddr, *reportPath)
-	}
-	// Traced remote clients negotiate server handle stamps at hello, so
-	// the flag must be set before the store is dialed.
-	cfg.Store.Traced = cfg.Traced()
-	store, err := gadget.OpenStore(cfg.Store)
-	if err != nil {
-		return err
-	}
-	defer store.Close()
-	tel, err := startTelemetry(*metricsAddr, *reportPath, cfg.Obs, store, cfg.Store.Engine)
-	if err != nil {
-		return err
-	}
-	var res gadget.Result
-	if cfg.Run.Mode == "open_loop" {
-		opts, oerr := cfg.OpenLoopOptions()
-		if oerr != nil {
-			return oerr
-		}
-		opts.Observer = tel.observer()
-		opts.Tracer = tel.traceSampler()
-		res, err = w.RunOpenLoop(store, opts)
-	} else {
-		res, err = w.RunOnline(store, gadget.ReplayOptions{
-			ServiceRate:  cfg.Run.ServiceRate,
-			SampleEvery:  cfg.Run.SampleEvery,
-			StallTimeout: time.Duration(cfg.Run.StallTimeoutMs) * time.Millisecond,
-			Observer:     tel.observer(),
-			Tracer:       tel.traceSampler(),
-		})
-	}
-	if err != nil && !errors.Is(err, gadget.ErrStalled) {
-		tel.finish(res, cfg)
-		return err
-	}
-	if ferr := tel.finish(res, cfg); ferr != nil {
-		return ferr
-	}
-	fmt.Printf("operator   %s\n", cfg.Operator.Operator)
-	fmt.Printf("engine     %s\n", cfg.Store.Engine)
-	printResult(res)
-	if slo := cfg.Run.SLOP99Ms; slo > 0 && res.IntendedLatency != nil {
-		verdict := "MET"
-		if res.IntendedP99Micros() > slo*1000 || res.Degraded {
-			verdict = "VIOLATED"
-		}
-		fmt.Printf("slo        intended p99 <= %.1fms: %s\n", slo, verdict)
-	}
-	if errors.Is(err, gadget.ErrStalled) {
-		return fmt.Errorf("run stalled after %d ops (partial results above)", res.Ops)
-	}
-	return nil
+	applyObs(&cfg)
+	return execute(cfg, 1)
 }
 
 func cmdGenerate(args []string) error {
@@ -178,179 +141,83 @@ func cmdGenerate(args []string) error {
 	if err != nil {
 		return err
 	}
-	path := cfg.Run.TracePath
 	if *out != "" {
-		path = *out
+		cfg.Run.TracePath = *out
 	}
-	if path == "" {
+	if cfg.Run.TracePath == "" {
 		return fmt.Errorf("no trace path: set run.trace_path or -out")
 	}
-	w, err := gadget.NewWorkload(cfg)
-	if err != nil {
-		return err
+	// The trace is the same whatever the config would run it through; a
+	// crash schedule applies to runs only.
+	cfg.Run.Mode, cfg.Run.CheckpointEveryOps = "offline", 0
+	if cfg.Store.Chaos != nil {
+		cfg.Store.Chaos.CrashAtOps = nil
 	}
-	tr, err := w.Generate()
-	if err != nil {
-		return err
-	}
-	if err := gadget.WriteTrace(path, tr); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %d accesses to %s\n", len(tr), path)
-	return nil
+	return execute(cfg, 1)
 }
 
 func cmdReplay(args []string) error {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
-	tracePath := fs.String("trace", "", "trace file")
-	engine := fs.String("engine", "memstore", "store engine")
-	addr := fs.String("addr", "", "server address for -engine remote")
-	dir := fs.String("dir", "", "store directory (temp dir when empty)")
+	traceCfg := traceFlags(fs)
 	rate := fs.Float64("rate", 0, "service rate in ops/second (0 = unthrottled); with -open-loop, the offered arrival rate (required)")
 	conc := fs.Int("concurrency", 1, "concurrent replayers sharing the store")
-	stall := fs.Duration("stall-timeout", 0, "abort the run if no progress for this long (0 = off)")
 	openLoop := fs.Bool("open-loop", false, "open-loop replay: dispatch on intended arrival times, measure coordinated-omission-free latency")
 	poisson := fs.Bool("poisson", false, "with -open-loop, use Poisson arrivals at -rate instead of constant spacing")
-	maxInFlight := fs.Int("max-in-flight", 0, "with -open-loop, bound on queued-but-unserviced events (0 = default)")
 	seed := fs.Int64("seed", 1, "with -open-loop -poisson, RNG seed for the arrival schedule")
-	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /debug/vars, /debug/pprof on this address")
-	reportPath := fs.String("report", "", "write a JSON run report to this path")
+	applyObs := obsFlags(fs)
 	fs.Parse(args)
-	if *tracePath == "" {
-		return fmt.Errorf("-trace is required")
+	cfg, err := traceCfg()
+	if err != nil {
+		return err
 	}
+	cfg.Source.Seed, cfg.Run.ServiceRate = *seed, *rate
 	if *openLoop {
-		if *rate <= 0 {
-			return fmt.Errorf("-open-loop requires -rate > 0 (the offered arrival rate)")
-		}
 		if *conc > 1 {
 			return fmt.Errorf("-open-loop replays with a single service worker; drop -concurrency")
 		}
-	}
-	tr, err := gadget.ReadTrace(*tracePath)
-	if err != nil {
-		return err
-	}
-	storeDir := *dir
-	if storeDir == "" {
-		tmp, err := os.MkdirTemp("", "gadget-replay-*")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(tmp)
-		storeDir = filepath.Join(tmp, "db")
-	}
-	store, err := gadget.OpenStore(gadget.StoreConfig{Engine: *engine, Dir: storeDir, Addr: *addr})
-	if err != nil {
-		return err
-	}
-	defer store.Close()
-	tel, err := startTelemetry(*metricsAddr, *reportPath, nil, store, *engine)
-	if err != nil {
-		return err
-	}
-	configEcho := map[string]any{
-		"trace": *tracePath, "engine": *engine, "rate": *rate,
-		"concurrency": *conc, "stall_timeout_ms": stall.Milliseconds(),
-		"open_loop": *openLoop,
-	}
-	if *openLoop {
-		oopts := gadget.OpenLoopOptions{
-			Rate:         *rate,
-			MaxInFlight:  *maxInFlight,
-			StallTimeout: *stall,
-			Observer:     tel.observer(),
-		}
+		cfg.Run.Mode, cfg.Run.Rate, cfg.Run.ServiceRate = "open_loop", *rate, 0
 		if *poisson {
-			oopts.Arrivals = gadget.PoissonArrivals(*rate, *seed)
-			configEcho["arrival"] = "poisson"
-		} else {
-			configEcho["arrival"] = "constant"
+			cfg.Run.Arrival = "poisson"
 		}
-		res, err := gadget.ReplayOpenLoop(store, tr, oopts)
-		if err != nil {
-			tel.finish(res, configEcho)
-			return err
-		}
-		if ferr := tel.finish(res, configEcho); ferr != nil {
-			return ferr
-		}
-		printResult(res)
-		return nil
 	}
-	opts := gadget.ReplayOptions{ServiceRate: *rate, StallTimeout: *stall, Observer: tel.observer()}
-	if *conc <= 1 {
-		res, err := gadget.Replay(store, tr, opts)
-		if err != nil {
-			tel.finish(res, configEcho)
-			return err
-		}
-		if ferr := tel.finish(res, configEcho); ferr != nil {
-			return ferr
-		}
-		printResult(res)
-		return nil
-	}
-	traces := make([][]gadget.Access, *conc)
-	for i := range traces {
-		traces[i] = tr
-	}
-	results, err := gadget.ReplayConcurrent(store, traces, opts)
-	merged := gadget.MergeResults(results)
-	if err != nil {
-		tel.finish(merged, configEcho)
-		return err
-	}
-	if ferr := tel.finish(merged, configEcho); ferr != nil {
-		return ferr
-	}
-	for i, res := range results {
-		fmt.Printf("replayer %d:\n", i)
-		printResult(res)
-	}
-	return nil
+	applyObs(&cfg)
+	return execute(cfg, *conc)
 }
 
 func cmdFindRate(args []string) error {
 	fs := flag.NewFlagSet("findrate", flag.ExitOnError)
-	tracePath := fs.String("trace", "", "trace file")
-	engine := fs.String("engine", "memstore", "store engine")
-	addr := fs.String("addr", "", "server address for -engine remote")
-	dir := fs.String("dir", "", "store directory (temp dir when empty)")
+	traceCfg := traceFlags(fs)
 	low := fs.Float64("low", 0, "lower bound of the rate search in ops/second (required)")
 	high := fs.Float64("high", 0, "upper bound of the rate search (0 = discover by doubling)")
 	sloP99 := fs.Float64("slo-p99-ms", 10, "intended-arrival p99 latency SLO in milliseconds")
 	maxOverload := fs.Float64("max-overload-frac", 0.01, "max fraction of offered events that may hit queue overload")
 	tol := fs.Float64("tolerance", 0, "relative bisection tolerance (0 = default)")
 	maxProbes := fs.Int("max-probes", 0, "probe budget for the search (0 = default)")
-	maxInFlight := fs.Int("max-in-flight", 0, "bound on queued-but-unserviced events per probe (0 = default)")
-	stall := fs.Duration("stall-timeout", 0, "abort a probe if no progress for this long (0 = off)")
 	fs.Parse(args)
-	if *tracePath == "" {
-		return fmt.Errorf("-trace is required")
+	cfg, err := traceCfg()
+	if err != nil {
+		return err
 	}
 	if *low <= 0 {
 		return fmt.Errorf("-low is required and must be positive")
 	}
-	tr, err := gadget.ReadTrace(*tracePath)
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	tr, err := gadget.ReadTrace(cfg.Run.TracePath)
 	if err != nil {
 		return err
 	}
-	storeDir := *dir
-	if storeDir == "" {
-		tmp, err := os.MkdirTemp("", "gadget-findrate-*")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(tmp)
-		storeDir = filepath.Join(tmp, "db")
-	}
-	store, err := gadget.OpenStore(gadget.StoreConfig{Engine: *engine, Dir: storeDir, Addr: *addr})
+	live, err := openStore(cfg)
 	if err != nil {
 		return err
 	}
-	defer store.Close()
-	res, err := gadget.FindSustainableRate(store, tr, gadget.RateSearchOptions{
+	defer live.close()
+	open, err := cfg.OpenLoopOptions()
+	if err != nil {
+		return err
+	}
+	res, err := gadget.FindSustainableRate(live.get(), tr, gadget.RateSearchOptions{
 		Low:       *low,
 		High:      *high,
 		Tolerance: *tol,
@@ -359,7 +226,7 @@ func cmdFindRate(args []string) error {
 			P99:             time.Duration(*sloP99 * float64(time.Millisecond)),
 			MaxOverloadFrac: *maxOverload,
 		},
-		Open: gadget.OpenLoopOptions{MaxInFlight: *maxInFlight, StallTimeout: *stall},
+		Open: open,
 	})
 	if err != nil {
 		return err
@@ -407,7 +274,7 @@ func cmdAnalyze(args []string) error {
 	return nil
 }
 
-func cmdList() error {
+func cmdList([]string) error {
 	fmt.Println("operators:")
 	for _, op := range gadget.OperatorTypes() {
 		fmt.Printf("  %s\n", op)

@@ -12,9 +12,14 @@ import (
 	"gadget/internal/replay"
 )
 
-// defaultSampleInterval is the telemetry sampler period when no
-// obs.sample_interval_ms is configured.
-const defaultSampleInterval = time.Second
+// obsOf returns cfg's obs section, or its defaults (a 1s sampler, no
+// listener, no report) when there is none.
+func obsOf(cfg gadget.Config) gadget.ObsConfig {
+	if cfg.Obs != nil {
+		return *cfg.Obs
+	}
+	return gadget.ObsConfig{SampleIntervalMs: 1000}
+}
 
 // telemetry bundles one run's observability surfaces: the metrics
 // listener, the run sampler, and the report writer. A nil *telemetry is
@@ -24,55 +29,44 @@ type telemetry struct {
 	reg     *obs.Registry
 	srv     *obs.MetricsServer
 	sampler *obs.Sampler
-	store   gadget.Store
+	store   gadget.Introspector
 	tracer  *gadget.Tracer
 
-	engine      string
-	reportPath  string
+	cfg         gadget.Config
 	engineStart map[string]int64
 
 	mu   sync.Mutex
 	cols []*replay.Collector
 }
 
-// startTelemetry assembles the observability rig for a run against
-// store. metricsAddr and reportPath are the flag values; when empty they
-// fall back to the config's obs section (which may be nil). Returns nil
-// when no surface is active (no listener, no report, not a terminal).
-func startTelemetry(metricsAddr, reportPath string, obsCfg *gadget.ObsConfig, store gadget.Store, engine string) (*telemetry, error) {
-	interval := defaultSampleInterval
-	if obsCfg != nil {
-		interval = time.Duration(obsCfg.SampleIntervalMs) * time.Millisecond
-		if metricsAddr == "" {
-			metricsAddr = obsCfg.MetricsAddr
-		}
-		if reportPath == "" {
-			reportPath = obsCfg.ReportPath
-		}
-	}
+// startTelemetry assembles the observability rig the obs section of
+// cfg asks for. store is the metrics source of the run's engine.
+// Returns nil when no surface is active (no listener, no report, no
+// tracer, not a terminal).
+func startTelemetry(cfg gadget.Config, store gadget.Introspector) (*telemetry, error) {
+	o := obsOf(cfg)
 	var tracer *gadget.Tracer
-	if obsCfg != nil && obsCfg.Trace {
-		tracer = gadget.NewTracer(gadget.TracerOptions{
-			SampleN: obsCfg.TraceSampleN,
-			SlowK:   obsCfg.TraceSlowK,
-		})
+	if o.Trace {
+		tracer = gadget.NewTracer(gadget.TracerOptions{SampleN: o.TraceSampleN, SlowK: o.TraceSlowK})
 	}
-	progress := progressWriter()
-	if metricsAddr == "" && reportPath == "" && progress == nil && tracer == nil {
+	var progress io.Writer // live progress lines go to a terminal, not to pipes or logs
+	if fi, err := os.Stderr.Stat(); err == nil && fi.Mode()&os.ModeCharDevice != 0 {
+		progress = os.Stderr
+	}
+	if o.MetricsAddr == "" && o.ReportPath == "" && progress == nil && tracer == nil {
 		return nil, nil
 	}
 	t := &telemetry{
 		store:       store,
-		engine:      engine,
-		reportPath:  reportPath,
-		engineStart: gadget.StoreMetrics(store),
+		cfg:         cfg,
+		engineStart: store.Metrics(),
 		tracer:      tracer,
 	}
-	if metricsAddr != "" {
+	if o.MetricsAddr != "" {
 		t.reg = obs.NewRegistry()
 		obs.RegisterStoreCollector(t.reg, store)
 		obs.RegisterTracerCollector(t.reg, tracer)
-		srv, err := obs.Serve(metricsAddr, t.reg)
+		srv, err := obs.Serve(o.MetricsAddr, t.reg)
 		if err != nil {
 			return nil, fmt.Errorf("metrics listener: %w", err)
 		}
@@ -80,7 +74,7 @@ func startTelemetry(metricsAddr, reportPath string, obsCfg *gadget.ObsConfig, st
 		fmt.Fprintf(os.Stderr, "metrics on http://%s/metrics (expvar at /debug/vars, pprof at /debug/pprof)\n", srv.Addr())
 	}
 	sampler, err := obs.StartSampler(obs.SamplerOptions{
-		Interval: interval,
+		Interval: time.Duration(o.SampleIntervalMs) * time.Millisecond,
 		Snapshot: t.snapshot,
 		Store:    store,
 		Progress: progress,
@@ -96,36 +90,20 @@ func startTelemetry(metricsAddr, reportPath string, obsCfg *gadget.ObsConfig, st
 	return t, nil
 }
 
-// progressWriter returns os.Stderr when it is a terminal, else nil (no
-// live progress lines into pipes or logs).
-func progressWriter() io.Writer {
-	fi, err := os.Stderr.Stat()
-	if err != nil || fi.Mode()&os.ModeCharDevice == 0 {
-		return nil
+// hook points opts's Observer and Tracer at the rig (none when no
+// telemetry is active).
+func (t *telemetry) hook(opts *gadget.ReplayOptions) {
+	if t != nil {
+		opts.Observer, opts.Tracer = t.observe, t.tracer
 	}
-	return os.Stderr
 }
 
-// traceSampler returns the run tracer for replay Options.Tracer (nil
-// when tracing is off or no telemetry is active).
-func (t *telemetry) traceSampler() *gadget.Tracer {
-	if t == nil {
-		return nil
-	}
-	return t.tracer
-}
-
-// observer is the replay.Options.Observer hook: it registers every
-// collector the run creates so snapshot can fold them.
-func (t *telemetry) observer() func(*replay.Collector) {
-	if t == nil {
-		return nil
-	}
-	return func(c *replay.Collector) {
-		t.mu.Lock()
-		t.cols = append(t.cols, c)
-		t.mu.Unlock()
-	}
+// observe registers every collector the run creates so snapshot can
+// fold them.
+func (t *telemetry) observe(c *replay.Collector) {
+	t.mu.Lock()
+	t.cols = append(t.cols, c)
+	t.mu.Unlock()
 }
 
 // snapshot merges the live collectors' measurements.
@@ -142,8 +120,9 @@ func (t *telemetry) snapshot() replay.Result {
 
 // finish seals the run: it stops the sampler with the final result,
 // writes the report if one was requested, and shuts the listener down.
-// configEcho is embedded in the report's config field.
-func (t *telemetry) finish(final gadget.Result, configEcho any) error {
+// The report's config field is the run's validated configuration, so
+// feeding it back to `gadget run` repeats the run.
+func (t *telemetry) finish(final gadget.Result) error {
 	if t == nil {
 		return nil
 	}
@@ -151,23 +130,23 @@ func (t *telemetry) finish(final gadget.Result, configEcho any) error {
 	if t.srv != nil {
 		defer t.srv.Close()
 	}
-	if t.reportPath == "" {
+	path := obsOf(t.cfg).ReportPath
+	if path == "" {
 		return nil
 	}
-	engineEnd := gadget.StoreMetrics(t.store)
 	rep := &obs.Report{
-		Store:       t.engine,
-		Config:      configEcho,
+		Store:       t.cfg.Store.Engine,
+		Config:      t.cfg,
 		Result:      obs.Summarize(final),
 		EngineStart: t.engineStart,
-		EngineEnd:   engineEnd,
+		EngineEnd:   t.store.Metrics(),
 		EngineDelta: final.Engine,
 		Series:      series,
 		SlowOps:     gadget.TracerSnapshot(t.tracer),
 	}
-	if err := obs.WriteReport(t.reportPath, rep); err != nil {
+	if err := obs.WriteReport(path, rep); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "report written to %s\n", t.reportPath)
+	fmt.Fprintf(os.Stderr, "report written to %s\n", path)
 	return nil
 }

@@ -358,19 +358,6 @@ func (w *Workload) RunOnline(store Store, opts ReplayOptions) (Result, error) {
 	return RunCustomOnline(src, op, store, opts)
 }
 
-// RunOpenLoop generates the workload's state access stream, then
-// replays it under an open-loop arrival schedule (run.mode
-// "open_loop"): latency is measured from each event's intended arrival
-// time, so a stalling store is charged for the backlog it causes
-// instead of silently slowing the generator down.
-func (w *Workload) RunOpenLoop(store Store, opts OpenLoopOptions) (Result, error) {
-	tr, err := w.Generate()
-	if err != nil {
-		return Result{}, err
-	}
-	return replay.RunOpenLoop(store, tr, opts)
-}
-
 // RunWithRecovery generates the workload's state access stream, then
 // replays it through the crash schedule in opts, restoring from opts's
 // checkpointer after each crash. The final attempt's store is left open

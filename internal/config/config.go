@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"time"
 
 	"gadget/internal/core"
@@ -123,7 +124,9 @@ type RunConfig struct {
 	// the trace, then replay it under an open-loop arrival schedule with
 	// coordinated-omission-free latency accounting).
 	Mode string `json:"mode"`
-	// TracePath is the trace file for offline mode and replays.
+	// TracePath is the trace file. Offline mode generates the workload
+	// and writes it there; online and open_loop modes replay it instead
+	// of generating when it is set.
 	TracePath string `json:"trace_path"`
 	// ServiceRate throttles replay (ops/second, 0 = unthrottled).
 	ServiceRate float64 `json:"service_rate"`
@@ -185,38 +188,48 @@ func Parse(data []byte) (Config, error) {
 	return c, nil
 }
 
-// Validate checks cross-field consistency.
+// Validate checks cross-field consistency and fills defaults. Source
+// and operator defaults are filled only when the run generates its
+// accesses (see Generates): a replay's report names its trace, not a
+// generator it never ran.
 func (c *Config) Validate() error {
+	switch c.Run.Mode {
+	case "", "online":
+		c.Run.Mode = "online"
+	case "offline":
+		if c.Run.TracePath == "" {
+			return fmt.Errorf("config: offline mode requires run.trace_path")
+		}
+	case "open_loop":
+	default:
+		return fmt.Errorf("config: unknown run mode %q", c.Run.Mode)
+	}
+	gen := c.Generates()
 	switch c.Source.Type {
 	case "", "synthetic":
-		c.Source.Type = "synthetic"
-		if c.Source.Events <= 0 {
-			c.Source.Events = 100000
+		if gen {
+			c.Source.Type = "synthetic"
+			if c.Source.Events <= 0 {
+				c.Source.Events = 100000
+			}
 		}
 	case "dataset":
 		if _, ok := datasets.ByName(c.Source.Dataset, 0.0001, 0); !ok {
 			return fmt.Errorf("config: unknown dataset %q (want one of %v)", c.Source.Dataset, datasets.Names())
 		}
-		if c.Source.Scale <= 0 {
+		if gen && c.Source.Scale <= 0 {
 			c.Source.Scale = 0.01
 		}
 	default:
 		return fmt.Errorf("config: unknown source type %q", c.Source.Type)
 	}
-	if c.Source.WatermarkEvery <= 0 {
+	if gen && c.Source.WatermarkEvery <= 0 {
 		c.Source.WatermarkEvery = 100
 	}
-	if c.Operator.Operator == "" {
+	if gen && c.Operator.Operator == "" {
 		c.Operator.Operator = core.TumblingIncr
 	}
-	found := false
-	for _, typ := range core.OperatorTypes() {
-		if typ == c.Operator.Operator {
-			found = true
-			break
-		}
-	}
-	if !found {
+	if c.Operator.Operator != "" && !slices.Contains(core.OperatorTypes(), c.Operator.Operator) {
 		return fmt.Errorf("config: unknown operator %q", c.Operator.Operator)
 	}
 	if c.Store.Engine == "" {
@@ -225,15 +238,6 @@ func (c *Config) Validate() error {
 	if c.Store.Chaos != nil {
 		if err := c.Store.Chaos.Plan().Validate(); err != nil {
 			return fmt.Errorf("config: store.chaos: %w", err)
-		}
-		for i, n := range c.Store.Chaos.CrashAtOps {
-			if n == 0 {
-				return fmt.Errorf("config: store.chaos.crash_at_ops[%d] must be positive", i)
-			}
-			if i > 0 && n <= c.Store.Chaos.CrashAtOps[i-1] {
-				return fmt.Errorf("config: store.chaos.crash_at_ops must be strictly increasing, got %d after %d",
-					n, c.Store.Chaos.CrashAtOps[i-1])
-			}
 		}
 	}
 	if c.Store.Resilience != nil {
@@ -255,54 +259,8 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("config: store.remote.batch_bytes must be non-negative, got %d", c.Store.Remote.BatchBytes)
 		}
 	}
-	switch c.Run.Mode {
-	case "", "online":
-		c.Run.Mode = "online"
-	case "offline":
-		if c.Run.TracePath == "" {
-			return fmt.Errorf("config: offline mode requires run.trace_path")
-		}
-	case "open_loop":
-		if c.Run.Rate <= 0 && len(c.Run.Bursts) == 0 {
-			return fmt.Errorf("config: open_loop mode requires run.rate or run.bursts")
-		}
-	default:
-		return fmt.Errorf("config: unknown run mode %q", c.Run.Mode)
-	}
-	switch c.Run.Arrival {
-	case "", "constant":
-	case "poisson":
-	default:
-		return fmt.Errorf("config: unknown run.arrival %q (want constant or poisson)", c.Run.Arrival)
-	}
-	if c.Run.Rate < 0 {
-		return fmt.Errorf("config: run.rate must be non-negative, got %v", c.Run.Rate)
-	}
-	if c.Run.MaxInFlight < 0 {
-		return fmt.Errorf("config: run.max_in_flight must be non-negative, got %d", c.Run.MaxInFlight)
-	}
-	if c.Run.SLOP99Ms < 0 {
-		return fmt.Errorf("config: run.slo_p99_ms must be non-negative, got %v", c.Run.SLOP99Ms)
-	}
-	if len(c.Run.Bursts) > 0 {
-		if _, err := c.burstSchedule(); err != nil {
-			return err
-		}
-	}
-	if c.Run.ServiceRate < 0 {
-		return fmt.Errorf("config: run.service_rate must be non-negative, got %v", c.Run.ServiceRate)
-	}
-	if c.Run.SampleEvery < 0 {
-		return fmt.Errorf("config: run.sample_every must be non-negative, got %d", c.Run.SampleEvery)
-	}
-	if c.Run.StallTimeoutMs < 0 {
-		return fmt.Errorf("config: run.stall_timeout_ms must be non-negative, got %d", c.Run.StallTimeoutMs)
-	}
-	if c.Run.CheckpointDir != "" && c.Run.CheckpointDir == c.Store.Dir {
-		return fmt.Errorf("config: run.checkpoint_dir must differ from store.dir (checkpoints must survive store crashes)")
-	}
-	if c.Recovery() && c.Run.Mode != "online" {
-		return fmt.Errorf("config: crash recovery (run.checkpoint_every_ops / store.chaos.crash_at_ops) requires run.mode %q, got %q", "online", c.Run.Mode)
+	if err := c.validateRun(); err != nil {
+		return err
 	}
 	if c.Obs != nil {
 		if err := c.Obs.Validate(); err != nil {
@@ -310,6 +268,57 @@ func (c *Config) Validate() error {
 		}
 	}
 	return nil
+}
+
+// validateRun checks the run section through the replay options it
+// builds, so a config that parses is a run that starts. The closed-loop
+// options are checked in every mode, the open-loop ones in open_loop
+// mode, and the crash schedule whenever one is set.
+func (c *Config) validateRun() error {
+	switch c.Run.Arrival {
+	case "", "constant", "poisson":
+	default:
+		return fmt.Errorf("config: unknown run.arrival %q (want constant or poisson)", c.Run.Arrival)
+	}
+	if c.Run.SLOP99Ms < 0 {
+		return fmt.Errorf("config: run.slo_p99_ms must be non-negative, got %v", c.Run.SLOP99Ms)
+	}
+	if c.Run.CheckpointDir != "" && c.Run.CheckpointDir == c.Store.Dir {
+		return fmt.Errorf("config: run.checkpoint_dir must differ from store.dir (checkpoints must survive store crashes)")
+	}
+	if c.Recovery() && c.Run.Mode != "online" {
+		return fmt.Errorf("config: crash recovery (run.checkpoint_every_ops / store.chaos.crash_at_ops) requires run.mode %q, got %q", "online", c.Run.Mode)
+	}
+	if err := c.ReplayOptions().Validate(); err != nil {
+		return fmt.Errorf("config: run: %w", err)
+	}
+	ol, err := c.OpenLoopOptions()
+	if err != nil {
+		return err
+	}
+	if c.Run.Mode == "open_loop" {
+		if err := ol.Validate(); err != nil {
+			return fmt.Errorf("config: run: %w", err)
+		}
+	} else if ol.Rate < 0 || ol.MaxInFlight < 0 {
+		// Unused outside open_loop mode, but no run could use them.
+		return fmt.Errorf("config: run.rate and run.max_in_flight must be non-negative, got %v and %d", ol.Rate, ol.MaxInFlight)
+	}
+	if c.Recovery() {
+		// Checkpoint placement is the caller's; a stand-in checkpointer
+		// lets the cadence and crash schedule be checked here.
+		if _, err := c.RecoveryOptions(&kv.Checkpointer{}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Generates reports whether the run generates its accesses from the
+// source and operator. Offline mode generates and writes run.trace_path;
+// the other modes replay run.trace_path instead when it is set.
+func (c *Config) Generates() bool {
+	return c.Run.Mode == "offline" || c.Run.TracePath == ""
 }
 
 // BuildSource constructs the configured event source. Join operators get
@@ -411,6 +420,16 @@ func (c *Config) Recovery() bool {
 	return c.Store.Chaos != nil && len(c.Store.Chaos.CrashAtOps) > 0
 }
 
+// ReplayOptions assembles the closed-loop replay options the run
+// section describes: online runs and trace replays.
+func (c *Config) ReplayOptions() replay.Options {
+	return replay.Options{
+		ServiceRate:  c.Run.ServiceRate,
+		SampleEvery:  c.Run.SampleEvery,
+		StallTimeout: time.Duration(c.Run.StallTimeoutMs) * time.Millisecond,
+	}
+}
+
 // RecoveryOptions assembles the crash-recovery replay options from the
 // run and store.chaos sections. The caller supplies the checkpointer
 // (its filesystem and directory are placement decisions the config
@@ -418,11 +437,7 @@ func (c *Config) Recovery() bool {
 // zero, in which case crashes recover by full replay.
 func (c *Config) RecoveryOptions(ck *kv.Checkpointer) (replay.RecoveryOptions, error) {
 	o := replay.RecoveryOptions{
-		Options: replay.Options{
-			ServiceRate:  c.Run.ServiceRate,
-			SampleEvery:  c.Run.SampleEvery,
-			StallTimeout: time.Duration(c.Run.StallTimeoutMs) * time.Millisecond,
-		},
+		Options:         c.ReplayOptions(),
 		CheckpointEvery: c.Run.CheckpointEveryOps,
 		Checkpointer:    ck,
 	}
@@ -452,7 +467,7 @@ func (c *Config) OpenLoopOptions() (replay.OpenLoopOptions, error) {
 			return o, err
 		}
 		o.Arrivals = sched
-	} else if c.Run.Arrival == "poisson" {
+	} else if c.Run.Arrival == "poisson" && c.Run.Rate > 0 {
 		o.Arrivals = dist.NewPoissonRate(c.Run.Rate, rand.New(rand.NewSource(c.Source.Seed)))
 	}
 	return o, nil

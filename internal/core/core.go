@@ -49,14 +49,19 @@ const (
 	RangeJoinProbe OperatorType = "range-join-probe"
 )
 
-// OperatorTypes lists all predefined workloads.
-func OperatorTypes() []OperatorType {
+// PaperOperatorTypes lists the paper's eleven workloads.
+func PaperOperatorTypes() []OperatorType {
 	return []OperatorType{
 		TumblingIncr, TumblingHol, SlidingIncr, SlidingHol,
 		SessionIncr, SessionHol, TumblingJoin, SlidingJoin,
 		IntervalJoin, ContinJoin, Aggregation,
-		TopKDrain, RangeJoinProbe,
 	}
+}
+
+// OperatorTypes lists all predefined workloads: the paper's eleven,
+// then the two scan-aware ones.
+func OperatorTypes() []OperatorType {
+	return append(PaperOperatorTypes(), TopKDrain, RangeJoinProbe)
 }
 
 // IsJoin reports whether the operator consumes two input streams.

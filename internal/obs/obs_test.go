@@ -2,14 +2,11 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"path/filepath"
 	"reflect"
-	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -35,123 +32,22 @@ func TestLabelEscaping(t *testing.T) {
 	}
 }
 
-func TestCounterMonotonicUnderConcurrency(t *testing.T) {
-	reg := NewRegistry()
-	c := reg.Counter("ops_total", "total ops")
-	const workers, perWorker = 8, 10000
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	// A reader asserts the counter never decreases while writers hammer it.
-	var readErr error
-	var rwg sync.WaitGroup
-	rwg.Add(1)
-	go func() {
-		defer rwg.Done()
-		var prev int64
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			v := c.Value()
-			if v < prev {
-				readErr = fmt.Errorf("counter went backwards: %d -> %d", prev, v)
-				return
-			}
-			prev = v
-		}
-	}()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				c.Inc()
-			}
-		}()
-	}
-	wg.Wait()
-	close(stop)
-	rwg.Wait()
-	if readErr != nil {
-		t.Fatal(readErr)
-	}
-	if got := c.Value(); got != workers*perWorker {
-		t.Fatalf("counter = %d, want %d", got, workers*perWorker)
-	}
-	c.Add(-5) // negative deltas must be dropped, not applied
-	if got := c.Value(); got != workers*perWorker {
-		t.Fatalf("counter after negative Add = %d, want unchanged %d", got, workers*perWorker)
-	}
-}
-
-func TestHistogramExpositionCumulative(t *testing.T) {
-	reg := NewRegistry()
-	h := reg.Histogram("lat", "latency", []int64{10, 100, 1000})
-	for _, v := range []int64{1, 5, 10, 50, 99, 100, 500, 5000} {
-		h.Record(v)
-	}
-	var b strings.Builder
-	if err := reg.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, "# TYPE lat histogram") {
-		t.Fatalf("missing histogram TYPE header:\n%s", out)
-	}
-	// Parse the bucket series and check cumulativity and the count.
-	var counts []uint64
-	for _, line := range strings.Split(out, "\n") {
-		if !strings.HasPrefix(line, "lat_bucket") {
-			continue
-		}
-		fields := strings.Fields(line)
-		n, err := strconv.ParseUint(fields[len(fields)-1], 10, 64)
-		if err != nil {
-			t.Fatalf("bad bucket line %q: %v", line, err)
-		}
-		counts = append(counts, n)
-	}
-	if len(counts) != 4 { // 3 bounds + +Inf
-		t.Fatalf("got %d bucket lines, want 4:\n%s", len(counts), out)
-	}
-	for i := 1; i < len(counts); i++ {
-		if counts[i] < counts[i-1] {
-			t.Fatalf("buckets not cumulative: %v", counts)
-		}
-	}
-	if counts[len(counts)-1] != 8 {
-		t.Fatalf("+Inf bucket = %d, want 8", counts[len(counts)-1])
-	}
-	if !strings.Contains(out, "lat_count 8") {
-		t.Fatalf("missing lat_count:\n%s", out)
-	}
-	if !strings.Contains(out, `lat_bucket{le="+Inf"} 8`) {
-		t.Fatalf("missing +Inf bucket:\n%s", out)
-	}
-	// Histogram semantics: values equal to a bound land in its bucket.
-	if counts[0] != 3 { // 1, 5, 10 <= 10
-		t.Fatalf("le=10 bucket = %d, want 3", counts[0])
-	}
-}
-
 func TestRegistryIdempotentAndGrouped(t *testing.T) {
 	reg := NewRegistry()
-	a := reg.Counter("reqs", "", Label{Name: "op", Value: "get"})
-	b := reg.Counter("reqs", "", Label{Name: "op", Value: "put"})
-	again := reg.Counter("reqs", "", Label{Name: "op", Value: "get"})
+	a := reg.Gauge("reqs", "", Label{Name: "op", Value: "get"})
+	b := reg.Gauge("reqs", "", Label{Name: "op", Value: "put"})
+	again := reg.Gauge("reqs", "", Label{Name: "op", Value: "get"})
 	if a != again {
-		t.Fatal("re-registration returned a different counter")
+		t.Fatal("re-registration returned a different gauge")
 	}
-	a.Add(3)
-	b.Add(4)
+	a.Set(3)
+	b.Set(4)
 	var out strings.Builder
 	if err := reg.WritePrometheus(&out); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
-	if strings.Count(s, "# TYPE reqs counter") != 1 {
+	if strings.Count(s, "# TYPE reqs gauge") != 1 {
 		t.Fatalf("family must have exactly one TYPE header:\n%s", s)
 	}
 	if !strings.Contains(s, `reqs{op="get"} 3`) || !strings.Contains(s, `reqs{op="put"} 4`) {
@@ -337,7 +233,7 @@ func TestSummarizeRecoveryFields(t *testing.T) {
 
 func TestServeHTTP(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("hits", "hit counter").Add(7)
+	reg.Gauge("hits", "hit gauge").Set(7)
 	srv, err := Serve("127.0.0.1:0", reg)
 	if err != nil {
 		t.Fatal(err)
@@ -356,7 +252,7 @@ func TestServeHTTP(t *testing.T) {
 	}
 
 	code, body := get("/metrics")
-	if code != http.StatusOK || !strings.Contains(body, "# TYPE hits counter") || !strings.Contains(body, "hits 7") {
+	if code != http.StatusOK || !strings.Contains(body, "# TYPE hits gauge") || !strings.Contains(body, "hits 7") {
 		t.Fatalf("/metrics = %d:\n%s", code, body)
 	}
 	code, body = get("/debug/vars")
@@ -366,35 +262,6 @@ func TestServeHTTP(t *testing.T) {
 	code, body = get("/debug/pprof/")
 	if code != http.StatusOK || !strings.Contains(body, "goroutine") {
 		t.Fatalf("/debug/pprof/ = %d:\n%.200s", code, body)
-	}
-}
-
-func TestHistogramQuantileSummaryLines(t *testing.T) {
-	reg := NewRegistry()
-	h := reg.Histogram("lat2", "latency", []int64{10, 100, 1000})
-	for v := int64(1); v <= 100; v++ {
-		h.Record(v)
-	}
-	var b strings.Builder
-	if err := reg.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, q := range []string{"0.5", "0.9", "0.99", "0.999"} {
-		if !strings.Contains(out, `lat2_quantile{quantile="`+q+`"}`) {
-			t.Fatalf("missing quantile %s summary line:\n%s", q, out)
-		}
-	}
-	// The p50 of 1..100 must land near 50 (log-bucket upper bound).
-	for _, line := range strings.Split(out, "\n") {
-		if !strings.HasPrefix(line, `lat2_quantile{quantile="0.5"}`) {
-			continue
-		}
-		fields := strings.Fields(line)
-		v, err := strconv.ParseInt(fields[len(fields)-1], 10, 64)
-		if err != nil || v < 50 || v > 55 {
-			t.Fatalf("p50 of 1..100 = %d (err %v), want ~50", v, err)
-		}
 	}
 }
 

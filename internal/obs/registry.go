@@ -1,6 +1,6 @@
 // Package obs is the harness-wide observability layer: a stdlib-only
-// metrics registry (sharded counters, gauges, striped histograms) with
-// Prometheus text exposition, an HTTP endpoint bundling /metrics with
+// metrics registry (gauges, plus collector callbacks read at scrape
+// time) with Prometheus text exposition, an HTTP endpoint bundling /metrics with
 // expvar and pprof, a run-scoped telemetry sampler producing live
 // progress lines and a machine-readable time series, and a JSON run
 // report writer. It observes engines through kv.Introspector, so one
@@ -16,8 +16,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"gadget/internal/stats"
 )
 
 // Label is one Prometheus label pair. Values may contain any bytes;
@@ -27,68 +25,11 @@ type Label struct {
 	Value string
 }
 
-// counterCell is one stripe of a Counter, padded so adjacent cells do
-// not share a cache line.
-type counterCell struct {
-	n atomic.Int64
-	_ [56]byte
-}
-
-// Counter is a monotonically increasing metric. Increments land on
-// per-P stripes (the same sync.Pool discipline as
-// stats.StripedHistogram), so concurrent writers do not contend on one
-// cache line; Value folds the stripes.
-type Counter struct {
-	mu    sync.Mutex
-	cells []*counterCell
-	pool  sync.Pool
-}
-
-func newCounter() *Counter {
-	c := &Counter{}
-	c.pool.New = func() any {
-		cell := &counterCell{}
-		c.mu.Lock()
-		c.cells = append(c.cells, cell)
-		c.mu.Unlock()
-		return cell
-	}
-	return c
-}
-
-// Inc adds 1.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Add adds n, which must be non-negative (counters are monotone; a
-// negative delta is silently dropped rather than corrupting the series).
-func (c *Counter) Add(n int64) {
-	if n < 0 {
-		return
-	}
-	cell := c.pool.Get().(*counterCell)
-	cell.n.Add(n)
-	c.pool.Put(cell)
-}
-
-// Value returns the current total.
-func (c *Counter) Value() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var sum int64
-	for _, cell := range c.cells {
-		sum += cell.n.Load()
-	}
-	return sum
-}
-
 // Gauge is a metric that can go up and down.
 type Gauge struct{ v atomic.Int64 }
 
 // Set replaces the value.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adjusts the value by n (may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
 
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
@@ -102,36 +43,12 @@ func (g *GaugeFloat) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 // Value returns the current value.
 func (g *GaugeFloat) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// HistogramMetric is a registry-managed latency distribution: a striped
-// stats histogram exposed as a Prometheus histogram family with a fixed
-// bucket ladder.
-type HistogramMetric struct {
-	h      *stats.StripedHistogram
-	bounds []int64
-}
-
-// Record adds one observation.
-func (h *HistogramMetric) Record(v int64) { h.h.Record(v) }
-
-// Snapshot returns a merged copy of the underlying histogram.
-func (h *HistogramMetric) Snapshot() *stats.Histogram { return h.h.Snapshot() }
-
-// DefaultLatencyBounds is the bucket ladder used for latency histograms,
-// in nanoseconds: roughly 1-2.5-5 decades from 1us to 10s.
-var DefaultLatencyBounds = []int64{
-	1_000, 2_500, 5_000, 10_000, 25_000, 50_000,
-	100_000, 250_000, 500_000, 1_000_000, 2_500_000, 5_000_000,
-	10_000_000, 100_000_000, 1_000_000_000, 10_000_000_000,
-}
-
 // metricKind discriminates exposition behavior.
 type metricKind int
 
 const (
-	kindCounter metricKind = iota
-	kindGauge
+	kindGauge metricKind = iota
 	kindGaugeFloat
-	kindHistogram
 )
 
 // metric is one registered series: a name, a label set, and a value
@@ -141,10 +58,8 @@ type metric struct {
 	help   string
 	kind   metricKind
 	labels []Label
-	c      *Counter
 	g      *Gauge
 	gf     *GaugeFloat
-	h      *HistogramMetric
 }
 
 // EmitFunc is handed to collector callbacks; each call contributes one
@@ -195,12 +110,6 @@ func (r *Registry) register(m *metric) *metric {
 	return m
 }
 
-// Counter returns the counter registered under name/labels, creating it
-// on first use.
-func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	return r.register(&metric{name: name, help: help, kind: kindCounter, labels: labels, c: newCounter()}).c
-}
-
 // Gauge returns the gauge registered under name/labels, creating it on
 // first use.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
@@ -211,17 +120,6 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 // creating it on first use.
 func (r *Registry) GaugeFloat(name, help string, labels ...Label) *GaugeFloat {
 	return r.register(&metric{name: name, help: help, kind: kindGaugeFloat, labels: labels, gf: &GaugeFloat{}}).gf
-}
-
-// Histogram returns the histogram registered under name/labels, creating
-// it on first use with the given bucket upper bounds (nil selects
-// DefaultLatencyBounds). Bounds must be sorted ascending.
-func (r *Registry) Histogram(name, help string, bounds []int64, labels ...Label) *HistogramMetric {
-	if bounds == nil {
-		bounds = DefaultLatencyBounds
-	}
-	h := &HistogramMetric{h: stats.NewStripedHistogram(), bounds: bounds}
-	return r.register(&metric{name: name, help: help, kind: kindHistogram, labels: labels, h: h}).h
 }
 
 // RegisterCollector adds a callback run at every exposition; whatever it
@@ -311,17 +209,12 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		if h := fam[0].help; h != "" {
 			fmt.Fprintf(bw, "# HELP %s %s\n", name, strings.ReplaceAll(h, "\n", " "))
 		}
-		fmt.Fprintf(bw, "# TYPE %s %s\n", name, typeName(fam[0].kind))
+		fmt.Fprintf(bw, "# TYPE %s gauge\n", name)
 		for _, m := range fam {
-			switch m.kind {
-			case kindCounter:
-				fmt.Fprintf(bw, "%s%s %d\n", name, renderLabels(m.labels), m.c.Value())
-			case kindGauge:
+			if m.kind == kindGauge {
 				fmt.Fprintf(bw, "%s%s %d\n", name, renderLabels(m.labels), m.g.Value())
-			case kindGaugeFloat:
+			} else {
 				fmt.Fprintf(bw, "%s%s %s\n", name, renderLabels(m.labels), formatValue(m.gf.Value()))
-			case kindHistogram:
-				writeHistogram(bw, name, m)
 			}
 		}
 	}
@@ -353,40 +246,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return bw.err
-}
-
-// writeHistogram renders one histogram series: cumulative buckets, the
-// +Inf bucket, _sum, _count, and summary-style quantile lines
-// (p50/p90/p99/p99.9 as <name>_quantile{quantile="..."}, derived from
-// the same stats.SummaryQuantiles ladder the textual result summary
-// uses).
-func writeHistogram(w io.Writer, name string, m *metric) {
-	snap := m.h.Snapshot()
-	cum := snap.CumulativeCounts(m.h.bounds)
-	for i, bound := range m.h.bounds {
-		le := Label{Name: "le", Value: formatValue(float64(bound))}
-		fmt.Fprintf(w, "%s_bucket%s %d\n", name, renderLabels(m.labels, le), cum[i])
-	}
-	inf := Label{Name: "le", Value: "+Inf"}
-	fmt.Fprintf(w, "%s_bucket%s %d\n", name, renderLabels(m.labels, inf), snap.Count())
-	fmt.Fprintf(w, "%s_sum%s %s\n", name, renderLabels(m.labels), formatValue(snap.Sum()))
-	fmt.Fprintf(w, "%s_count%s %d\n", name, renderLabels(m.labels), snap.Count())
-	qvals := snap.Quantiles(stats.SummaryQuantiles)
-	for i, q := range stats.SummaryQuantiles {
-		ql := Label{Name: "quantile", Value: formatValue(q)}
-		fmt.Fprintf(w, "%s_quantile%s %d\n", name, renderLabels(m.labels, ql), qvals[i])
-	}
-}
-
-func typeName(k metricKind) string {
-	switch k {
-	case kindCounter:
-		return "counter"
-	case kindHistogram:
-		return "histogram"
-	default:
-		return "gauge"
-	}
 }
 
 // errWriter latches the first write error so exposition loops don't

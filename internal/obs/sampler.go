@@ -56,9 +56,12 @@ type SamplerOptions struct {
 	// Snapshot returns the run's current merged measurements; typically
 	// it folds replay.Collector.Snapshot over every live collector.
 	Snapshot func() replay.Result
-	// Store, when set, supplies raw engine metrics for progress lines
-	// (breaker state).
-	Store kv.Store
+	// Store, when it implements kv.Introspector, supplies the raw engine
+	// metrics sampled beside the run: the remote in-flight gauge and the
+	// breaker state of progress lines. Any value is accepted (a kv.Store,
+	// or a handle that follows a store reopened across crashes); others
+	// supply nothing.
+	Store any
 	// Progress, when set, receives one human-readable line per sample
 	// (the harness passes os.Stderr when it is a terminal).
 	Progress io.Writer
@@ -159,7 +162,9 @@ func (s *Sampler) observe(res replay.Result) Sample {
 	}
 	smp.Recoveries = res.Recoveries
 	smp.Checkpoints = res.Checkpoints
-	if v, ok := inflightOf(s.opts.Store); ok {
+	raw := metricsOf(s.opts.Store)
+	if v, ok := raw["remote.inflight"]; ok {
+		// A gauge: the raw value is the reading, not a delta.
 		smp.Inflight = v
 	}
 	s.lastOps = res.Ops
@@ -186,7 +191,7 @@ func (s *Sampler) observe(res replay.Result) Sample {
 		if smp.Inflight > 0 {
 			line += fmt.Sprintf(" inflight=%d", smp.Inflight)
 		}
-		if st := breakerState(s.opts.Store); st != "" {
+		if st := breakerState(raw); st != "" {
 			line += " breaker=" + st
 		}
 		fmt.Fprintln(s.opts.Progress, line)
@@ -194,26 +199,18 @@ func (s *Sampler) observe(res replay.Result) Sample {
 	return smp
 }
 
-// inflightOf samples the remote pipeline occupancy gauge of an
-// introspectable store (false when the store exposes none). Unlike the
-// run result's Engine delta, the raw value is the meaningful reading:
-// remote.inflight is a gauge, and a start-to-now delta of a gauge is
-// noise.
-func inflightOf(store kv.Store) (int64, bool) {
-	if store == nil {
-		return 0, false
+// metricsOf returns v's engine metrics, or nil when v is not a
+// kv.Introspector.
+func metricsOf(v any) map[string]int64 {
+	if in, ok := v.(kv.Introspector); ok {
+		return in.Metrics()
 	}
-	v, ok := kv.MetricsOf(store)["remote.inflight"]
-	return v, ok
+	return nil
 }
 
-// breakerState renders the resilience breaker state of an
-// introspectable store ("" when the store has no breaker).
-func breakerState(store kv.Store) string {
-	if store == nil {
-		return ""
-	}
-	m := kv.MetricsOf(store)
+// breakerState renders the resilience breaker state in an engine
+// metrics snapshot ("" when the store has no breaker).
+func breakerState(m map[string]int64) string {
 	v, ok := m["resilient.breaker_state"]
 	if !ok {
 		return ""

@@ -54,9 +54,6 @@ func TestRunFillsEngineDelta(t *testing.T) {
 	if observed == nil {
 		t.Fatal("Observer was not invoked")
 	}
-	if observed.Store() != kv.Store(store) {
-		t.Error("Observer collector is not bound to the run's store")
-	}
 	if res.Engine["memstore.puts"] != 50 {
 		t.Errorf("Engine delta = %v, want memstore.puts=50", res.Engine)
 	}

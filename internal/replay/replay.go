@@ -456,10 +456,6 @@ func newCollector(store kv.Store, opts Options, clock Clock) *Collector {
 	return c
 }
 
-// Store returns the store this collector measures (telemetry samplers
-// reached via Options.Observer use it to introspect the engine).
-func (c *Collector) Store() kv.Store { return c.store }
-
 // elapsed is the time since the run started, on the run's own clock.
 func (c *Collector) elapsed() time.Duration {
 	if c.clock != nil {
