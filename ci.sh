@@ -63,6 +63,15 @@ echo "== go test -race (LSM background worker, repeated)"
 # and of Close during a compaction — on the LSM and through Lethe.
 go test -race -count=5 -timeout 10m -run 'TestWorker|TestCompactionBypassesBlockCache' ./internal/lsm/
 
+echo "== go test -race (online generator hand-off, repeated)"
+# Online runs generate on a producer goroutine of their own, a bounded
+# ring of blocks ahead of the measured one. Five repeats under the race
+# detector of the entry-point contract and of the online tests: the
+# stream a store sees, the producer joined on a drained source, a
+# failing store and a watchdog abort, a generator panic raised on the
+# caller, and a failing store stopping a custom operator's generation.
+go test -race -count=5 -timeout 10m -run 'TestEntryPointContract|TestRunCustomOnline|TestOnline' .
+
 echo "== go test -race (remote role hand-off, repeated)"
 # The remote client has no goroutine of its own: callers pass the writer
 # and reader roles between themselves. Ten repeats under the race

@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"time"
 
 	"gadget"
@@ -93,7 +94,9 @@ func obsFlags(fs *flag.FlagSet) func(cfg *gadget.Config) {
 
 // traceFlags registers the flags replay and findrate share: the trace,
 // the store it is replayed against, and the open-loop bounds. The
-// returned function maps them onto a Config once fs is parsed.
+// returned function maps them onto a Config once fs is parsed, with the
+// trace and store paths made absolute, so the config a report echoes
+// re-runs from any working directory.
 func traceFlags(fs *flag.FlagSet) func() (gadget.Config, error) {
 	tracePath := fs.String("trace", "", "trace file")
 	engine := fs.String("engine", "memstore", "store engine")
@@ -108,10 +111,20 @@ func traceFlags(fs *flag.FlagSet) func() (gadget.Config, error) {
 		if *stall > 0 && *stall < time.Millisecond {
 			return gadget.Config{}, fmt.Errorf("-stall-timeout %v is below the 1ms resolution of run.stall_timeout_ms", *stall)
 		}
+		trace, err := filepath.Abs(*tracePath)
+		if err != nil {
+			return gadget.Config{}, err
+		}
+		storeDir := *dir
+		if storeDir != "" {
+			if storeDir, err = filepath.Abs(storeDir); err != nil {
+				return gadget.Config{}, err
+			}
+		}
 		return gadget.Config{
-			Store: gadget.StoreConfig{Engine: *engine, Dir: *dir, Addr: *addr},
+			Store: gadget.StoreConfig{Engine: *engine, Dir: storeDir, Addr: *addr},
 			Run: gadget.RunConfig{
-				TracePath:      *tracePath,
+				TracePath:      trace,
 				MaxInFlight:    *maxInFlight,
 				StallTimeoutMs: stall.Milliseconds(),
 			},

@@ -218,3 +218,47 @@ func TestReplayRejectsSubMillisecondStallTimeout(t *testing.T) {
 		t.Fatal("-stall-timeout 500us accepted; run.stall_timeout_ms would read 0")
 	}
 }
+
+// A replay given relative -trace and -dir paths reports them absolute:
+// its config re-runs from another working directory to the same counts,
+// into the same store directory.
+func TestReplayReportRerunsFromAnotherDirectory(t *testing.T) {
+	dir := tempEnv(t)
+	if err := os.Mkdir(filepath.Join(dir, "tp"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	trace := filepath.Join(dir, "tp", "t.bin")
+	if err := cmdGenerate([]string{"-config", writeConfig(t, dir, "gen.json", `{`+workload+`}`), "-out", trace}); err != nil {
+		t.Fatal(err)
+	}
+	t.Chdir(dir)
+	first := filepath.Join(dir, "r1.json")
+	if err := cmdReplay([]string{"-trace", "tp/t.bin", "-engine", "rocksdb", "-dir", "db", "-report", first}); err != nil {
+		t.Fatal(err)
+	}
+	rep := readReport(t, first)
+	cfg := reportConfig(t, rep)
+	db := filepath.Join(dir, "db")
+	if cfg.Run.TracePath != trace || cfg.Store.Dir != db {
+		t.Fatalf("report names trace %q and store dir %q, want %q and %q", cfg.Run.TracePath, cfg.Store.Dir, trace, db)
+	}
+	if err := os.RemoveAll(db); err != nil {
+		t.Fatal(err)
+	}
+	elsewhere := t.TempDir()
+	t.Chdir(elsewhere)
+	cfg.Obs.ReportPath = filepath.Join(dir, "r2.json")
+	if err := execute(cfg, 1); err != nil {
+		t.Fatal(err)
+	}
+	again := readReport(t, cfg.Obs.ReportPath)
+	if rep.Result.Ops == 0 || counts(again) != counts(rep) {
+		t.Fatalf("re-run ops/misses/errors = %v, first run %v", counts(again), counts(rep))
+	}
+	if _, err := os.Stat(db); err != nil {
+		t.Fatalf("re-run did not reopen the reported store dir: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(elsewhere, "db")); err == nil {
+		t.Fatal("re-run made its store dir relative to the new working directory")
+	}
+}

@@ -3,11 +3,13 @@ package gadget
 import (
 	"errors"
 	"hash/fnv"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"gadget/internal/eventgen"
 	"gadget/internal/replay"
 )
 
@@ -286,6 +288,137 @@ func TestEntryPointContract(t *testing.T) {
 				t.Errorf("partial results count %d ops; the store completed %d of the %d it let through", ops, completed, g.limit)
 			}
 			obs.check(t, out.results)
+		})
+	}
+}
+
+// settle waits until at most n goroutines run, and fails the test if
+// more are still running after two seconds.
+func settle(t *testing.T, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines still running, want at most %d", runtime.NumGoroutine(), n)
+		}
+	}
+}
+
+// isOnline reports whether an entry point generates as it runs.
+func isOnline(ep entryPoint) bool {
+	switch ep.name {
+	case "RunOnline", "RunPartitioned", "RunCustomOnline":
+		return true
+	}
+	return false
+}
+
+// TestOnlineJoinsGenerator holds the online entry points to their
+// generator goroutines: none outlives the run, whether the source
+// drains, the store fails past the error limit, or the watchdog aborts
+// the run and its blocked store is released afterwards.
+func TestOnlineJoinsGenerator(t *testing.T) {
+	for _, ep := range entryPoints(t) {
+		if !isOnline(ep) {
+			continue
+		}
+		t.Run(ep.name, func(t *testing.T) {
+			mem := func() Store {
+				s, err := OpenStore(StoreConfig{Engine: "memstore"})
+				if err != nil {
+					panic(err)
+				}
+				t.Cleanup(func() { s.Close() })
+				return s
+			}
+			base := runtime.NumGoroutine()
+			if _, err := ep.run(mem, ReplayOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			settle(t, base)
+
+			if _, err := ep.run(func() Store { return &failingStore{} }, ReplayOptions{}); err == nil {
+				t.Fatal("a failing store's run reported no error")
+			}
+			settle(t, base)
+
+			g := &gate{limit: 50, release: make(chan struct{})}
+			gated := func() Store { return gatedStore{Store: mem(), g: g} }
+			if _, err := ep.run(gated, ReplayOptions{StallTimeout: 30 * time.Millisecond}); !errors.Is(err, ErrStalled) {
+				close(g.release)
+				t.Fatalf("err = %v, want ErrStalled", err)
+			}
+			if runtime.NumGoroutine() <= base {
+				t.Error("the stalled run left no blocked worker behind")
+			}
+			close(g.release)
+			settle(t, base)
+		})
+	}
+}
+
+var errGenerator = errors.New("generator failed")
+
+// panicSource panics with errGenerator on its nth item.
+type panicSource struct {
+	EventSource
+	n int
+}
+
+func (s *panicSource) Next() (eventgen.Item, bool) {
+	if s.n--; s.n == 0 {
+		panic(errGenerator)
+	}
+	return s.EventSource.Next()
+}
+
+// panicOp panics with errGenerator on its nth event.
+type panicOp struct {
+	Operator
+	n int
+}
+
+func (o *panicOp) OnEvent(e Event, emit EmitFunc) {
+	if o.n--; o.n == 0 {
+		panic(errGenerator)
+	}
+	o.Operator.OnEvent(e, emit)
+}
+
+// TestOnlineRaisesGeneratorPanic: a panic in a custom source or
+// operator is raised again on the goroutine that called
+// RunCustomOnline, with its own value, and leaves no goroutine behind.
+func TestOnlineRaisesGeneratorPanic(t *testing.T) {
+	cfg := smallCfg(TumblingIncr)
+	for _, at := range []string{"source", "operator"} {
+		t.Run(at, func(t *testing.T) {
+			src, err := NewEventSource(cfg.Source, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			op, err := NewOperator(cfg.Operator)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if at == "source" {
+				src = &panicSource{EventSource: src, n: 700}
+			} else {
+				op = &panicOp{Operator: op, n: 700}
+			}
+			store, err := OpenStore(StoreConfig{Engine: "memstore"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer store.Close()
+			base := runtime.NumGoroutine()
+			got := func() (p any) {
+				defer func() { p = recover() }()
+				RunCustomOnline(src, op, store, ReplayOptions{})
+				return nil
+			}()
+			if got != errGenerator {
+				t.Fatalf("recovered %v, want the %s's panic %v", got, at, errGenerator)
+			}
+			settle(t, base)
 		})
 	}
 }

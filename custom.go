@@ -44,6 +44,10 @@ func GenerateCustom(src EventSource, op Operator) []Access {
 
 // RunCustomOnline drives a custom operator over src, issuing every state
 // access to store and measuring latency and throughput (online mode).
+// src and op are called from one goroutine that is not the caller's,
+// never concurrently, a bounded few blocks of accesses ahead of the
+// store. A panic in either is raised again on the goroutine that issues
+// the store calls: the caller's, unless StallTimeout is set.
 // With ReplayOptions.StallTimeout set, a stalled run returns its partial
 // Result (Degraded=true) with ErrStalled instead of hanging.
 func RunCustomOnline(src EventSource, op Operator, store Store, opts ReplayOptions) (Result, error) {
@@ -56,16 +60,13 @@ func RunCustomOnline(src EventSource, op Operator, store Store, opts ReplayOptio
 	return res[0], err
 }
 
-// online issues every state access op produces over src to c, and stops
-// generating events once c gives up on a failing store.
+// online issues every state access op produces over src to c. The
+// generator runs a bounded few blocks ahead on a goroutine of its own
+// (core.DriveAhead), so the calling goroutine does only the store calls
+// and their measurement; generation stops once c gives up on a failing
+// store.
 func online(src EventSource, op Operator, c *replay.Collector) error {
-	var applyErr error
-	core.DriveUntil(src, op, func(a Access) {
-		if applyErr == nil {
-			applyErr = c.Do(a)
-		}
-	}, func() bool { return applyErr != nil })
-	return applyErr
+	return core.DriveAhead(src, op, c.Do)
 }
 
 // Watermark items and event kinds, re-exported for custom sources and

@@ -317,17 +317,17 @@ func TestContinuousJoin(t *testing.T) {
 
 func TestAssignedWindows(t *testing.T) {
 	// t=100, len=50, slide=10: starts 100,90,80,70,60.
-	ws := assignedWindows(100, 50, 10)
+	ws := assignedWindows(nil, 100, 50, 10)
 	if len(ws) != 5 || ws[0] != 100 || ws[4] != 60 {
 		t.Fatalf("windows = %v", ws)
 	}
 	// Tumbling: one window.
-	ws = assignedWindows(17, 10, 10)
+	ws = assignedWindows(ws[:0], 17, 10, 10)
 	if len(ws) != 1 || ws[0] != 10 {
 		t.Fatalf("tumbling windows = %v", ws)
 	}
 	// Clamp at zero.
-	ws = assignedWindows(3, 50, 10)
+	ws = assignedWindows(ws[:0], 3, 50, 10)
 	if len(ws) != 1 || ws[0] != 0 {
 		t.Fatalf("early windows = %v", ws)
 	}

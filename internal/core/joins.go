@@ -18,9 +18,10 @@ func streamGroup(key uint64, stream uint8) uint64 {
 // then clears them.
 type windowJoinOp struct {
 	driver
-	typ    OperatorType
-	length int64
-	slide  int64
+	typ     OperatorType
+	length  int64
+	slide   int64
+	windows []int64 // assignedWindows' buffer, reused per event
 }
 
 func newWindowJoinOp(cfg Config, length, slide int64) *windowJoinOp {
@@ -35,7 +36,8 @@ func (w *windowJoinOp) Type() OperatorType { return w.typ }
 
 func (w *windowJoinOp) OnEvent(e eventgen.Event, emit Emit) {
 	w.stats.Events++
-	for _, start := range assignedWindows(e.Time, w.length, w.slide) {
+	w.windows = assignedWindows(w.windows[:0], e.Time, w.length, w.slide)
+	for _, start := range w.windows {
 		expire := start + w.length + w.cfg.AllowedLatenessMs
 		if expire <= w.watermark {
 			w.stats.LateDropped++

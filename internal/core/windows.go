@@ -17,6 +17,7 @@ type windowOp struct {
 	holistic bool
 	length   int64
 	slide    int64
+	windows  []int64 // assignedWindows' buffer, reused per event
 }
 
 func newWindowOp(cfg Config, holistic bool, length, slide int64) *windowOp {
@@ -34,22 +35,23 @@ func newWindowOp(cfg Config, holistic bool, length, slide int64) *windowOp {
 
 func (w *windowOp) Type() OperatorType { return w.typ }
 
-// assignedWindows returns the start timestamps of every window containing t.
-func assignedWindows(t, length, slide int64) []int64 {
-	last := t - t%slide
-	out := make([]int64, 0, length/slide+1)
-	for start := last; start > t-length; start -= slide {
+// assignedWindows appends to dst the start timestamps of every window
+// containing t, latest first. Operators pass their own buffer, emptied,
+// so assigning windows allocates nothing in steady state.
+func assignedWindows(dst []int64, t, length, slide int64) []int64 {
+	for start := t - t%slide; start > t-length; start -= slide {
 		if start < 0 {
 			break
 		}
-		out = append(out, start)
+		dst = append(dst, start)
 	}
-	return out
+	return dst
 }
 
 func (w *windowOp) OnEvent(e eventgen.Event, emit Emit) {
 	w.stats.Events++
-	for _, start := range assignedWindows(e.Time, w.length, w.slide) {
+	w.windows = assignedWindows(w.windows[:0], e.Time, w.length, w.slide)
+	for _, start := range w.windows {
 		expire := start + w.length + w.cfg.AllowedLatenessMs
 		if expire <= w.watermark {
 			// The window already fired and its lateness horizon passed.

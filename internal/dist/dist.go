@@ -96,9 +96,11 @@ const DefaultZipfTheta = 0.99
 // algorithm YCSB uses.
 type ZipfianSource struct {
 	n                      uint64
-	theta                  float64
 	alpha, zetan, eta, zt2 float64
-	rng                    *rand.Rand
+	// one is the bound of item 1's draw, 1 + 0.5^theta. It is not zt2
+	// (1 + 1/2^theta), which can differ in the last bit.
+	one float64
+	rng *rand.Rand
 }
 
 // NewZipfian returns a zipfian Source over [0, n) with skew theta in (0, 1).
@@ -106,11 +108,12 @@ func NewZipfian(n uint64, theta float64, rng *rand.Rand) *ZipfianSource {
 	if n == 0 {
 		n = 1
 	}
-	z := &ZipfianSource{n: n, theta: theta, rng: rng}
+	z := &ZipfianSource{n: n, rng: rng}
 	z.zetan = zetaStatic(n, theta)
 	z.zt2 = zetaStatic(2, theta)
 	z.alpha = 1 / (1 - theta)
 	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - z.zt2/z.zetan)
+	z.one = 1 + math.Pow(0.5, theta)
 	return z
 }
 
@@ -128,7 +131,7 @@ func (z *ZipfianSource) Next() uint64 {
 	if uz < 1 {
 		return 0
 	}
-	if uz < 1+math.Pow(0.5, z.theta) {
+	if uz < z.one {
 		return 1
 	}
 	return uint64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))

@@ -276,3 +276,36 @@ func BenchmarkScrambledZipfian(b *testing.B) {
 		_ = s.Next()
 	}
 }
+
+// The zipfian's item-1 bound is computed once per source. Its draws
+// must be the ones of the per-draw expression it replaced,
+// 1+math.Pow(0.5, theta), draw for draw.
+func TestZipfianHoistedBoundUnchanged(t *testing.T) {
+	draws := 1_000_000
+	if testing.Short() {
+		draws = 50_000
+	}
+	for _, n := range []uint64{2, 100_000} {
+		for _, theta := range []float64{0.3, DefaultZipfTheta} {
+			for _, seed := range []int64{1, 7} {
+				z := NewZipfian(n, theta, rand.New(rand.NewSource(seed)))
+				ref := rand.New(rand.NewSource(seed))
+				for i := 0; i < draws; i++ {
+					u := ref.Float64()
+					var want uint64
+					switch uz := u * z.zetan; {
+					case uz < 1:
+						want = 0
+					case uz < 1+math.Pow(0.5, theta):
+						want = 1
+					default:
+						want = uint64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
+					}
+					if got := z.Next(); got != want {
+						t.Fatalf("n=%d theta=%v seed=%d draw %d: %d, per-draw bound gives %d", n, theta, seed, i, got, want)
+					}
+				}
+			}
+		}
+	}
+}

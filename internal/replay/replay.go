@@ -134,11 +134,13 @@ type Result struct {
 	Duration time.Duration
 	// Throughput is Ops divided by Duration, in ops/second.
 	Throughput float64
-	// Latency is the overall latency histogram in nanoseconds. For
-	// open-loop runs this is the *service-time* histogram (measured from
-	// the moment the store call starts); see IntendedLatency.
+	// Latency is the overall latency histogram in nanoseconds: the exact
+	// merge of PerOp. For open-loop runs this is the *service-time*
+	// histogram (measured from the moment the store call starts); see
+	// IntendedLatency.
 	Latency *stats.Histogram
-	// PerOp holds one latency histogram per operation type.
+	// PerOp holds one latency histogram per operation type; every
+	// measured op is recorded once, here.
 	PerOp [kv.NumOps]*stats.Histogram
 
 	// Open-loop measurements, populated only by the open-loop driver
@@ -441,7 +443,6 @@ func newCollector(store kv.Store, opts Options, clock Clock) *Collector {
 		pace = newWaiter(wallClock{})
 	}
 	c := &Collector{store: store, opts: opts, sample: uint64(sample), pace: pace, start: time.Now()}
-	c.res.Latency = stats.NewHistogram()
 	for i := range c.res.PerOp {
 		c.res.PerOp[i] = stats.NewHistogram()
 	}
@@ -542,8 +543,10 @@ func (c *Collector) apply(a kv.Access, tc *tracing.Ctx) (bool, error) {
 	return missed, err
 }
 
+// recordService records one op's service time, once: in its op's
+// histogram. Result.Latency is merged from those when the Result is
+// built (Finish, Snapshot).
 func (c *Collector) recordService(op kv.Op, lat time.Duration) {
-	c.res.Latency.Record(lat.Nanoseconds())
 	c.res.PerOp[op].Record(lat.Nanoseconds())
 }
 
@@ -630,6 +633,7 @@ func (c *Collector) Finish() Result {
 	defer c.sealMu.Unlock()
 	if !c.finished.Swap(true) {
 		c.fill(&c.res)
+		c.res.Latency = mergeLatency(c.res.PerOp)
 	}
 	return c.res
 }
@@ -641,12 +645,11 @@ func (c *Collector) Snapshot() Result {
 	c.sealMu.Lock()
 	defer c.sealMu.Unlock()
 	res := c.res
-	res.Latency = stats.NewHistogram()
-	res.Latency.Merge(c.res.Latency)
 	for i := range res.PerOp {
 		res.PerOp[i] = stats.NewHistogram()
 		res.PerOp[i].Merge(c.res.PerOp[i])
 	}
+	res.Latency = mergeLatency(res.PerOp)
 	if c.res.IntendedLatency != nil {
 		res.IntendedLatency = stats.NewHistogram()
 		res.IntendedLatency.Merge(c.res.IntendedLatency)
@@ -655,6 +658,16 @@ func (c *Collector) Snapshot() Result {
 		c.fill(&res)
 	}
 	return res
+}
+
+// mergeLatency returns the overall latency histogram of a run: the merge
+// of its per-op histograms.
+func mergeLatency(perOp [kv.NumOps]*stats.Histogram) *stats.Histogram {
+	h := stats.NewHistogram()
+	for _, p := range perOp {
+		h.Merge(p)
+	}
+	return h
 }
 
 // MergeResults folds per-worker Results into one run-wide view: op,

@@ -47,6 +47,16 @@ func TestRunBasics(t *testing.T) {
 	if res.PerOp[kv.OpGet].Count() != 3 {
 		t.Fatalf("get samples = %d", res.PerOp[kv.OpGet].Count())
 	}
+	// Each op is recorded once, per op; Latency is their merge.
+	var n uint64
+	var sum float64
+	for _, h := range res.PerOp {
+		n += h.Count()
+		sum += h.Sum()
+	}
+	if n != res.Latency.Count() || sum != res.Latency.Sum() {
+		t.Fatalf("per-op histograms hold %d samples summing to %v, Latency %d summing to %v", n, sum, res.Latency.Count(), res.Latency.Sum())
+	}
 	if res.String() == "" || res.MeanMicros() < 0 || res.P99Micros() < 0 || res.P999Micros() < 0 {
 		t.Fatal("result accessors broken")
 	}
